@@ -1,16 +1,16 @@
 (* CI perf-smoke guard: compare the [incremental_costing] and
    [parallel_scaling] studies of a fresh BENCH_vis.json against the
-   checked-in baseline and fail when the packed evaluator's work or the
-   sharded search's scaling regresses.
+   checked-in baseline and fail when the optimal search's cost-model work
+   or the sharded search's scaling regresses.
 
      dune exec bench/check_perf.exe -- BENCH_vis.json bench/perf_baseline.json
 
    Two families of numbers are guarded, both exact and machine-independent
    (so the check is immune to CI timing noise):
 
-   - [cost_evaluations] (configurations costed from scratch plus
-     delta-costed ones) per Table 2 schema at jobs=1 — more than 20% above
-     baseline fails the build;
+   - [cost_evaluations] (the states A* costs, [Search_stats.evaluated])
+     per Table 2 schema at jobs=1 — more than 20% above baseline fails the
+     build;
    - [modeled_speedup_4] per parallel-scaling case — the deterministic
      replay of the recorded per-round shard work on 4 ideal workers; more
      than 20% below baseline (work re-serialized into fewer, fatter

@@ -59,18 +59,18 @@ let figure5 () =
    instances its size is reported analytically (the paper's comparison is
    about state counts; A*'s optimality is verified in the test suite). *)
 
+let table2_cases () =
+  [
+    ("2 rel, 1 sel", Schemas.two_relation ());
+    ("2 rel, sel 50%", Schemas.two_relation ~sel_s:0.5 ());
+    ("3 rel (S1) no del", Schemas.schema1 ~del_frac:0. ());
+    ("3 rel Schema 1", Schemas.schema1 ());
+    ("3 rel Schema 2", Schemas.schema2 ());
+    ("4 rel chain", Schemas.chain ~n:4 ());
+  ]
+
 let table2 () =
   section "[Table 2] A* vs exhaustive search";
-  let cases =
-    [
-      ("2 rel, 1 sel", Schemas.two_relation ());
-      ("2 rel, sel 50%", Schemas.two_relation ~sel_s:0.5 ());
-      ("3 rel (S1) no del", Schemas.schema1 ~del_frac:0. ());
-      ("3 rel Schema 1", Schemas.schema1 ());
-      ("3 rel Schema 2", Schemas.schema2 ());
-      ("4 rel chain", Schemas.chain ~n:4 ());
-    ]
-  in
   let tbl =
     T.create
       [ "schema"; "features"; "exhaustive states"; "A* expanded"; "pruned"; "optimal cost" ]
@@ -115,7 +115,7 @@ let table2 () =
             ("cache", Cost.cache_stats_json p.Problem.cache);
           ]
         :: !rows)
-    cases;
+    (table2_cases ());
   T.print tbl;
   record "table2" (Json.List (List.rev !rows));
   print_endline
@@ -410,7 +410,8 @@ let extra2 () =
       (* On the 5-relation chain even the improved A* exceeds a sensible
          budget — the paper's own motivation for heuristics; the anytime
          variant reports its best incumbent instead. *)
-      let a, optimal = Astar.search_anytime ~max_expanded:150_000 p in
+      let a, cert = Astar.search_budgeted ~max_expanded:150_000 p in
+      let optimal = cert = Astar.Optimal in
       T.add_row tbl
         [
           name;
@@ -534,7 +535,8 @@ let extra5 () =
       let p = Problem.make schema in
       let g = Vis_core.Greedy.search p in
       let ls = Vis_core.Local_search.search p in
-      let a, optimal = Astar.search_anytime ~max_expanded:150_000 p in
+      let a, cert = Astar.search_budgeted ~max_expanded:150_000 p in
+      let optimal = cert = Astar.Optimal in
       T.add_row tbl
         [
           name;
@@ -827,113 +829,64 @@ let parallel_scaling () =
      perf smoke (bench/check_perf.exe)."
 
 (* ------------------------------------------------------------------ *)
-(* [Extra 9] Incremental delta-costing: the packed search path costs each
-   successor from its parent's per-element evaluation, so only a handful of
-   configurations are ever costed from scratch.  The study runs A* on the
-   Table 2 schemas at jobs in {1, 4}, reports the exact evaluator work
-   (full / delta / reused counters are atomics in the encoding), and at
-   jobs=1 re-runs the search through the VISMAT_SLOW_COST structural path,
-   asserting the optimum, its cost, and the expansion count are
-   bit-identical.  [cost_evaluations] (full + delta) is deterministic at
-   any jobs setting and is the number the CI perf-smoke guards. *)
+(* [Extra 9] Cost-model work of the optimal search: A* on the Table 2
+   schemas at jobs in {1, 4}, reporting the states the search costed
+   ([Search_stats.evaluated]) and the wall rate.  The counters are exact
+   and identical at any jobs setting (asserted here); [cost_evaluations]
+   at jobs=1 is the number the CI perf-smoke guards. *)
 
 let incremental_costing () =
-  section "[Extra 9] Incremental delta-costing (packed states)";
-  let cases =
-    [
-      ("2 rel, 1 sel", Schemas.two_relation ());
-      ("2 rel, sel 50%", Schemas.two_relation ~sel_s:0.5 ());
-      ("3 rel (S1) no del", Schemas.schema1 ~del_frac:0. ());
-      ("3 rel Schema 1", Schemas.schema1 ());
-      ("3 rel Schema 2", Schemas.schema2 ());
-      ("4 rel chain", Schemas.chain ~n:4 ());
-    ]
-  in
+  section "[Extra 9] Cost evaluations per A* search";
+  let module Search_stats = Vis_core.Search_stats in
   let tbl =
-    T.create
-      [
-        "schema";
-        "jobs";
-        "full evals";
-        "delta evals";
-        "reused";
-        "evals saved";
-        "states/sec";
-        "fast=slow";
-      ]
+    T.create [ "schema"; "jobs"; "expanded"; "cost evals"; "states/sec" ]
   in
   let rows = ref [] in
   List.iter
     (fun (name, schema) ->
+      let at_jobs1 = ref None in
       List.iter
         (fun jobs ->
           let p = Problem.make schema in
-          match p.Problem.encoding with
-          | None -> ()
-          | Some enc ->
-              let t0 = Unix.gettimeofday () in
-              let a = Astar.search ~jobs p in
-              let dt = Unix.gettimeofday () -. t0 in
-              let s = Cost.incr_stats enc in
-              let states =
-                s.Cost.is_full + s.Cost.is_delta + s.Cost.is_reused
-              in
-              let factor =
-                float_of_int states /. float_of_int (max 1 s.Cost.is_full)
-              in
-              let states_per_sec = float_of_int states /. Float.max dt 1e-9 in
-              let agreed =
-                if jobs = 1 then begin
-                  let slow = Problem.make ~slow_cost:true schema in
-                  let b = Astar.search ~jobs:1 slow in
-                  let same =
-                    b.Astar.best_cost = a.Astar.best_cost
-                    && Config.equal b.Astar.best a.Astar.best
-                    && b.Astar.stats.Astar.expanded = a.Astar.stats.Astar.expanded
-                  in
-                  assert same;
-                  Json.Bool same
-                end
-                else Json.Null (* checked at jobs=1; identical by determinism *)
-              in
-              if name = "4 rel chain" && jobs = 1 then assert (factor >= 3.);
-              T.add_row tbl
-                [
-                  name;
-                  string_of_int jobs;
-                  string_of_int s.Cost.is_full;
-                  string_of_int s.Cost.is_delta;
-                  string_of_int s.Cost.is_reused;
-                  Printf.sprintf "%.1fx" factor;
-                  T.fmt_compact states_per_sec;
-                  (match agreed with Json.Bool true -> "yes" | _ -> "-");
-                ];
-              rows :=
-                Json.Obj
-                  [
-                    ("schema", Json.String name);
-                    ("jobs", Json.Int jobs);
-                    ("full_evals", Json.Int s.Cost.is_full);
-                    ("delta_evals", Json.Int s.Cost.is_delta);
-                    ("reused_evals", Json.Int s.Cost.is_reused);
-                    ("elems_computed", Json.Int s.Cost.is_elems_computed);
-                    ("elems_copied", Json.Int s.Cost.is_elems_copied);
-                    ("cost_evaluations", Json.Int (s.Cost.is_full + s.Cost.is_delta));
-                    ("eval_reduction_factor", Json.Float factor);
-                    ("states_per_sec", Json.Float states_per_sec);
-                    ("seconds", Json.Float dt);
-                    ("slow_path_agreed", agreed);
-                  ]
-                :: !rows)
+          let t0 = Unix.gettimeofday () in
+          let a = Astar.search ~jobs p in
+          let dt = Unix.gettimeofday () -. t0 in
+          let evals = Search_stats.evaluated a.Astar.search_stats in
+          let counts =
+            (a.Astar.best_cost, evals, a.Astar.stats.Astar.expanded,
+             a.Astar.stats.Astar.generated)
+          in
+          (match !at_jobs1 with
+          | None -> at_jobs1 := Some counts
+          | Some c1 -> assert (c1 = counts));
+          let states_per_sec = float_of_int evals /. Float.max dt 1e-9 in
+          T.add_row tbl
+            [
+              name;
+              string_of_int jobs;
+              string_of_int a.Astar.stats.Astar.expanded;
+              string_of_int evals;
+              T.fmt_compact states_per_sec;
+            ];
+          rows :=
+            Json.Obj
+              [
+                ("schema", Json.String name);
+                ("jobs", Json.Int jobs);
+                ("cost_evaluations", Json.Int evals);
+                ("expanded", Json.Int a.Astar.stats.Astar.expanded);
+                ("generated", Json.Int a.Astar.stats.Astar.generated);
+                ("states_per_sec", Json.Float states_per_sec);
+                ("seconds", Json.Float dt);
+              ]
+            :: !rows)
         [ 1; 4 ])
-    cases;
+    (table2_cases ());
   T.print tbl;
   record "incremental_costing" (Json.List (List.rev !rows));
   print_endline
-    "\"evals saved\": states costed per configuration costed from scratch —\n\
-     delta-costing re-derives only the elements a flipped feature can affect.\n\
-     At jobs=1 every schema was re-searched through the VISMAT_SLOW_COST\n\
-     structural evaluator and agreed bit-for-bit (optimum, cost, expansions)."
+    "\"cost evals\": states costed by the search (Search_stats.evaluated);\n\
+     jobs=4 returned the same optimum and counters as jobs=1."
 
 (* ------------------------------------------------------------------ *)
 (* [Extra 10] Fault-injected refresh: the page I/O cost of WAL protection
@@ -1326,7 +1279,7 @@ let corruption_study () =
 let extra12 () =
   section "[Extra 12] Advisor service: sustained multi-tenant throughput";
   let module Service = Vis_service.Service in
-  let module Stream = Vis_service.Stream in
+  let module Stream = Vis_workload.Stream in
   let schema = Schemas.validation ~base_card:200. () in
   let design = (Vis_core.Greedy.search (Problem.make schema)).Vis_core.Greedy.best in
   (* Rates high enough that no tenant sees empty ticks (a zero tick reads
@@ -1441,7 +1394,7 @@ let extra12 () =
    the search actually costed ([Search_stats.evaluated], exact and
    identical at every jobs setting), so the reduction is the
    machine-independent work saved by mining, gated in check_perf like the
-   incremental_costing counters.  Small schemas run the exact
+   Extra 9 counters.  Small schemas run the exact
    (unbudgeted) A* on both sides to measure true optimality loss;
    minsup=0 must reproduce the unpruned problem bit for bit. *)
 

@@ -236,37 +236,18 @@ let emit_json ~schema_name ~algorithm ~schema ~p ~config ~cost ~search_stats
          ("space_pages", Json.Float (Config.space p.Problem.derived config));
          ("search", Search_stats.to_json search_stats);
          ("cache", Cost.cache_stats_json p.Problem.cache);
-         ( "incremental_costing",
-           match p.Problem.encoding with
-           | Some enc -> Cost.incr_stats_json enc
-           | None -> Json.Null );
          ("explain", Vis_core.Explain.report_json report);
        ]
       @ extra)
   in
   print_endline (Json.to_string ~indent:2 doc)
 
-let print_incr_stats enc =
-  let s = Cost.incr_stats enc in
-  let tbl = T.create [ "incremental costing"; "value" ] in
-  T.add_row tbl [ "full evaluations"; string_of_int s.Cost.is_full ];
-  T.add_row tbl [ "delta evaluations"; string_of_int s.Cost.is_delta ];
-  T.add_row tbl [ "reused unchanged"; string_of_int s.Cost.is_reused ];
-  T.add_row tbl [ "elements computed"; string_of_int s.Cost.is_elems_computed ];
-  T.add_row tbl [ "elements copied"; string_of_int s.Cost.is_elems_copied ];
-  T.print tbl
-
 let emit_human ~stats ~trace ~schema ~p ~config ~search_stats () =
   if stats then begin
     print_newline ();
     print_string (Search_stats.render search_stats);
     print_newline ();
-    print_cache_stats p.Problem.cache;
-    match p.Problem.encoding with
-    | Some enc ->
-        print_newline ();
-        print_incr_stats enc
-    | None -> ()
+    print_cache_stats p.Problem.cache
   end;
   if trace then begin
     print_newline ();
@@ -301,6 +282,15 @@ let check_jobs jobs =
 let run_optimize file builtin stats trace json jobs cap_views connected_only
     compression budget beam shard mine minsup log_queries log_seed log_zipf =
   check_jobs jobs;
+  (match cap_views with
+  | Some k when k < 1 -> die "--cap-views must be >= 1 (got %d)" k
+  | Some _ | None -> ());
+  (match budget with
+  | Some b when b < 0 -> die "--budget must be >= 0 (got %d)" b
+  | Some _ | None -> ());
+  (match beam with
+  | Some b when b < 1 -> die "--beam must be >= 1 (got %d)" b
+  | Some _ | None -> ());
   let schema = load_schema file builtin in
   let mine = mine || minsup <> None || log_queries <> None in
   let make ?candidates () =

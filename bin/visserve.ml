@@ -17,7 +17,7 @@
 open Cmdliner
 module Json = Vis_util.Json
 module Service = Vis_service.Service
-module Stream = Vis_service.Stream
+module Stream = Vis_workload.Stream
 module Faults = Vis_storage.Faults
 
 let die fmt =

@@ -353,16 +353,6 @@ let prepare ~pool p =
 
 (* ------------------------------------------------------------------ *)
 
-(* A frontier state is either packed (a feature mask with its incremental
-   per-element evaluation, used to delta-cost successors) or structural
-   (the fallback when the problem carries no encoding). *)
-type state = Packed of Cost.ieval | Plain of Config.t
-
-(* A successor awaiting evaluation: the packed form carries the parent's
-   evaluation so [eval_state] can cost it incrementally ([None] only for
-   the root). *)
-type succ = PSucc of int * Cost.ieval option | USucc of Config.t
-
 type certificate = Optimal | Bounded of { lower_bound : float; gap : float }
 
 (* Growable float buffer: the popped-[ĉ] audit trail, one per shard. *)
@@ -389,10 +379,10 @@ end
    every global counter and the winning configuration independent of the
    pool width. *)
 type shard = {
-  sq : (int * state * float) Pqueue.t;  (* (pos, state, g) at priority ĉ *)
+  sq : (int * Config.t * float) Pqueue.t;  (* (pos, config, g) at priority ĉ *)
   s_popped : Fbuf.t;
   mutable s_bound : float;  (* round-start global bound, improved locally *)
-  mutable s_best : (float * state) option;  (* best completion found here *)
+  mutable s_best : (float * Config.t) option;  (* best completion found here *)
   mutable s_done : bool;
   mutable s_dropped_lb : float;  (* smallest beam-dropped ĉ; ∞ if none *)
   mutable s_complete : float;  (* cost of own popped completion; ∞ if none *)
@@ -429,25 +419,6 @@ let search_internal ?warm_start ~max_expanded ~beam ~shard ~on_budget ~pool p =
   (match List.length prep.dropped with
   | 0 -> ()
   | n -> Search_stats.prune ~count:n sstats "dominance");
-  (* Packed search state: prep position [k] decides universe bit
-     [prep_bit.(k)] (the dominance fixpoint kept a subset of the problem's
-     features, so the two numberings differ). *)
-  let packed =
-    match Config_id.of_problem p with
-    | None -> None
-    | Some cid -> (
-        try
-          let prep_bit =
-            Array.map
-              (fun f ->
-                match Config_id.bit_of_feature cid f with
-                | Some b -> b
-                | None -> raise Exit)
-              prep.features
-          in
-          Some (cid, prep_bit)
-        with Exit -> None)
-  in
   let n = Array.length prep.features in
   let n_targets = Array.length prep.targets in
   let n_rels = Schema.n_relations schema in
@@ -468,10 +439,7 @@ let search_internal ?warm_start ~max_expanded ~beam ~shard ~on_budget ~pool p =
         ~violated:(popped.Fbuf.a.(i) > optimum +. 1e-6)
     done
   in
-  (* The state-dependent predicates take the configuration as a membership
-     closure [hv : view -> bool], so the packed path (mask test) and the
-     structural path ([Config.has_view]) share one implementation. *)
-  let eligible hv pos k =
+  let eligible config pos k =
     match prep.features.(k) with
     | Problem.F_view _ | Problem.F_compress _ -> true
     | Problem.F_index ix -> (
@@ -479,7 +447,7 @@ let search_internal ?warm_start ~max_expanded ~beam ~shard ~on_budget ~pool p =
         | Element.Base _ -> true
         | Element.View w ->
             Bitset.equal w (Schema.all_relations schema)
-            || hv w
+            || Config.has_view config w
             ||
             (match Hashtbl.find_opt prep.view_pos (Bitset.to_int w) with
             | Some vp -> vp >= pos
@@ -487,23 +455,22 @@ let search_internal ?warm_start ~max_expanded ~beam ~shard ~on_budget ~pool p =
   in
   (* A target still matters at (config, pos) when it is the primary view,
      already materialized, or not yet decided. *)
-  let target_alive hv pos ti =
+  let target_alive config pos ti =
     let vp = prep.target_view_pos.(ti) in
     vp < 0 || vp >= pos
     ||
     match prep.targets.(ti) with
-    | Element.View w -> hv w
+    | Element.View w -> Config.has_view config w
     | Element.Base _ -> true
   in
-  let h_hat eval hv pos =
-
+  let h_hat eval config pos =
     (* Gap tables: how far each expression's current cost sits above its
        full-configuration floor — an upper bound on what future features can
        still save on it. *)
     let ins_gap = Array.make_matrix n_targets n_rels 0. in
     for ti = 0 to n_targets - 1 do
       let elem = prep.targets.(ti) in
-      if target_alive hv pos ti then
+      if target_alive config pos ti then
         Bitset.iter
           (fun r ->
             let gap = ins_eval_of eval elem r -. prep.full_ins.(ti).(r) in
@@ -514,7 +481,7 @@ let search_internal ?warm_start ~max_expanded ~beam ~shard ~on_budget ~pool p =
        lb_cost − its capped benefit. *)
     let h1 = ref 0. in
     for k = pos to n - 1 do
-      if eligible hv pos k then begin
+      if eligible config pos k then begin
         let benefit =
           List.fold_left
             (fun acc (ti, r) -> acc +. ins_gap.(ti).(r))
@@ -532,7 +499,8 @@ let search_internal ?warm_start ~max_expanded ~beam ~shard ~on_budget ~pool p =
       let maintained =
         match elem with
         | Element.View w ->
-            Bitset.equal w (Schema.all_relations schema) || hv w
+            Bitset.equal w (Schema.all_relations schema)
+            || Config.has_view config w
         | Element.Base _ -> true
       in
       if maintained then
@@ -581,42 +549,24 @@ let search_internal ?warm_start ~max_expanded ~beam ~shard ~on_budget ~pool p =
      queue mutation and counter bump sequentially on the coordinator, in the
      same order the all-sequential code would.  [g] and [ĉ] do not read the
      incumbent bound, so evaluating successors concurrently and committing
-     them in order is bit-identical to sequential search. *)
-  let eval_state (pos, s) =
-    match s with
-    | USucc config ->
-        let eval = Problem.evaluator p config in
-        let g = Cost.total eval in
-        let c_hat = g +. h_hat eval (Config.has_view config) pos in
-        (pos, Plain config, g, c_hat)
-    | PSucc (mask, parent) ->
-        let cid, _ = Option.get packed in
-        let ie =
-          match parent with
-          | None -> Config_id.eval cid mask
-          | Some pie -> Config_id.eval_from cid pie mask
-        in
-        let g = Cost.ieval_total ie in
-        let eval = Config_id.evaluator cid mask in
-        let c_hat = g +. h_hat eval (Config_id.has_view cid mask) pos in
-        (pos, Packed ie, g, c_hat)
+     them in order is bit-identical to sequential search.  A successor that
+     rejects its feature keeps the parent's configuration, so it carries the
+     parent's [g] instead of re-costing it. *)
+  let eval_state (pos, config, known_g) =
+    let eval = Problem.evaluator p config in
+    let g = match known_g with Some g -> g | None -> Cost.total eval in
+    (pos, config, g, g +. h_hat eval config pos)
   in
-  let config_of_state = function
-    | Plain config -> config
-    | Packed ie ->
-        let cid, _ = Option.get packed in
-        Config_id.config_of_mask cid (Cost.ieval_mask ie)
-  in
-  let commit (pos, st, g, c_hat) =
+  let commit (pos, config, g, c_hat) =
     Search_stats.evaluate sstats;
     if c_hat <= !upper_bound +. 1e-9 then begin
       if pos = n && g < !upper_bound then begin
         upper_bound := g;
-        incumbent := config_of_state st
+        incumbent := config
       end;
       Search_stats.generate sstats;
       (* Among equal bounds, prefer the deeper state: it completes sooner. *)
-      Pqueue.push ~tie:(n - pos) queue c_hat (pos, st, g);
+      Pqueue.push ~tie:(n - pos) queue c_hat (pos, config, g);
       Search_stats.observe_frontier sstats (Pqueue.length queue)
     end
     else Search_stats.prune sstats "incumbent-bound"
@@ -624,51 +574,18 @@ let search_internal ?warm_start ~max_expanded ~beam ~shard ~on_budget ~pool p =
   (* Successor generation shared by the sequential, prefix and shard phases;
      [inel] is charged when an index position is skipped as ineligible (the
      phases count it in different scoreboards). *)
-  let successors ~inel pos st =
-    match st with
-    | Packed ie -> begin
-        let cid, prep_bit = Option.get packed in
-        let mask = Cost.ieval_mask ie in
-        let with_f = mask lor (1 lsl prep_bit.(pos)) in
-        match prep.features.(pos) with
-        | Problem.F_view _ | Problem.F_compress _ ->
-            [|
-              (pos + 1, PSucc (mask, Some ie));
-              (pos + 1, PSucc (with_f, Some ie));
-            |]
-        | Problem.F_index _ ->
-            if eligible (Config_id.has_view cid mask) pos pos then
-              [|
-                (pos + 1, PSucc (mask, Some ie));
-                (pos + 1, PSucc (with_f, Some ie));
-              |]
-            else begin
-              inel ();
-              [| (pos + 1, PSucc (mask, Some ie)) |]
-            end
-      end
-    | Plain config -> (
-        match prep.features.(pos) with
-        | Problem.F_view w ->
-            [|
-              (pos + 1, USucc config);
-              (pos + 1, USucc (Config.add_view config w));
-            |]
-        | Problem.F_compress e ->
-            [|
-              (pos + 1, USucc config);
-              (pos + 1, USucc (Config.add_compress config e));
-            |]
-        | Problem.F_index ix ->
-            if eligible (Config.has_view config) pos pos then
-              [|
-                (pos + 1, USucc config);
-                (pos + 1, USucc (Config.add_index config ix));
-              |]
-            else begin
-              inel ();
-              [| (pos + 1, USucc config) |]
-            end)
+  let successors ~inel (pos, config, g) =
+    let keep = (pos + 1, config, Some g) in
+    let both config' = [| keep; (pos + 1, config', None) |] in
+    match prep.features.(pos) with
+    | Problem.F_view w -> both (Config.add_view config w)
+    | Problem.F_compress e -> both (Config.add_compress config e)
+    | Problem.F_index ix ->
+        if eligible config pos pos then both (Config.add_index config ix)
+        else begin
+          inel ();
+          [| keep |]
+        end
   in
   (* Beam trim with hysteresis: only once the queue outgrows twice the beam,
      keep the [b] best entries and discard the rest.  [on_drop] receives the
@@ -727,10 +644,10 @@ let search_internal ?warm_start ~max_expanded ~beam ~shard ~on_budget ~pool p =
            a beam, dropped — the certificate accounts for those). *)
         finish_seq !incumbent !upper_bound
           (certificate_of ~ub:!upper_bound ~lb:!dropped_lb)
-    | Some (c_hat, (pos, st, g)) ->
+    | Some (c_hat, (pos, config, g)) ->
         Fbuf.push popped c_hat;
         if pos = n then
-          finish_seq (config_of_state st) g
+          finish_seq config g
             (certificate_of ~ub:g ~lb:!dropped_lb)
         else begin
           Search_stats.expand sstats;
@@ -752,7 +669,7 @@ let search_internal ?warm_start ~max_expanded ~beam ~shard ~on_budget ~pool p =
             let succs =
               successors
                 ~inel:(fun () -> Search_stats.prune sstats "ineligible-index")
-                pos st
+                (pos, config, g)
             in
             Array.iter (fun sc -> commit (eval_state sc)) succs;
             trim_queue queue ~on_drop:seq_drop;
@@ -779,13 +696,7 @@ let search_internal ?warm_start ~max_expanded ~beam ~shard ~on_budget ~pool p =
   let shard_loop () =
     let budget_hit = ref false in
     let depth = min shard_prefix_depth (n - 1) in
-    let root =
-      eval_state
-        ( 0,
-          match packed with
-          | Some _ -> PSucc (0, None)
-          | None -> USucc Config.empty )
-    in
+    let root = eval_state (0, Config.empty, None) in
     Search_stats.evaluate sstats;
     let level =
       ref
@@ -805,12 +716,12 @@ let search_internal ?warm_start ~max_expanded ~beam ~shard ~on_budget ~pool p =
       else begin
         let batch = ref [] in
         List.iter
-          (fun (pos, st, _, _) ->
+          (fun (pos, config, g, _) ->
             Search_stats.expand sstats;
             let succs =
               successors
                 ~inel:(fun () -> Search_stats.prune sstats "ineligible-index")
-                pos st
+                (pos, config, g)
             in
             Array.iter (fun sc -> batch := sc :: !batch) succs)
           !level;
@@ -848,7 +759,7 @@ let search_internal ?warm_start ~max_expanded ~beam ~shard ~on_budget ~pool p =
       let shards =
         Array.of_list
           (List.map
-             (fun (pos, st, g, c) ->
+             (fun (pos, config, g, c) ->
                let s =
                  {
                    sq = Pqueue.create ();
@@ -867,7 +778,7 @@ let search_internal ?warm_start ~max_expanded ~beam ~shard ~on_budget ~pool p =
                    d_beam = 0;
                  }
                in
-               Pqueue.push ~tie:(n - pos) s.sq c (pos, st, g);
+               Pqueue.push ~tie:(n - pos) s.sq c (pos, config, g);
                s)
              !level)
       in
@@ -879,7 +790,7 @@ let search_internal ?warm_start ~max_expanded ~beam ~shard ~on_budget ~pool p =
           | None ->
               s.s_done <- true;
               continue_ := false
-          | Some (c_hat, (pos, st, g)) ->
+          | Some (c_hat, (pos, config, g)) ->
               if c_hat > s.s_bound +. 1e-9 then begin
                 (* Everything left in this queue is ≥ [c_hat]; the bound the
                    round started with already beats it all. *)
@@ -896,7 +807,7 @@ let search_internal ?warm_start ~max_expanded ~beam ~shard ~on_budget ~pool p =
                   s.s_complete <- Float.min s.s_complete g;
                   if g < s.s_bound then begin
                     s.s_bound <- g;
-                    s.s_best <- Some (g, st)
+                    s.s_best <- Some (g, config)
                   end;
                   s.s_done <- true;
                   continue_ := false
@@ -907,19 +818,19 @@ let search_internal ?warm_start ~max_expanded ~beam ~shard ~on_budget ~pool p =
                   let succs =
                     successors
                       ~inel:(fun () -> s.d_inel <- s.d_inel + 1)
-                      pos st
+                      (pos, config, g)
                   in
                   Array.iter
                     (fun sc ->
-                      let pos', st', g', c' = eval_state sc in
+                      let pos', config', g', c' = eval_state sc in
                       s.d_eval <- s.d_eval + 1;
                       if c' <= s.s_bound +. 1e-9 then begin
                         if pos' = n && g' < s.s_bound then begin
                           s.s_bound <- g';
-                          s.s_best <- Some (g', st')
+                          s.s_best <- Some (g', config')
                         end;
                         s.d_gen <- s.d_gen + 1;
-                        Pqueue.push ~tie:(n - pos') s.sq c' (pos', st', g')
+                        Pqueue.push ~tie:(n - pos') s.sq c' (pos', config', g')
                       end
                       else s.d_inc <- s.d_inc + 1)
                     succs;
@@ -977,9 +888,9 @@ let search_internal ?warm_start ~max_expanded ~beam ~shard ~on_budget ~pool p =
           Array.iter
             (fun s ->
               match s.s_best with
-              | Some (g, st) when g < !upper_bound ->
+              | Some (g, config) when g < !upper_bound ->
                   upper_bound := g;
-                  incumbent := config_of_state st
+                  incumbent := config
               | Some _ | None -> ())
             act;
           Search_stats.observe_frontier sstats (frontier_size ())
@@ -1045,12 +956,7 @@ let search_internal ?warm_start ~max_expanded ~beam ~shard ~on_budget ~pool p =
       Search_stats.time sstats "search" (fun () ->
           if use_shard then shard_loop ()
           else begin
-            commit
-              (eval_state
-                 ( 0,
-                   match packed with
-                   | Some _ -> PSucc (0, None)
-                   | None -> USucc Config.empty ));
+            commit (eval_state (0, Config.empty, None));
             seq_loop ()
           end))
 
@@ -1069,7 +975,3 @@ let search_budgeted ?(max_expanded = 5_000_000) ?beam ?jobs ?shard ?warm_start
   Parallel.using ?jobs (fun pool ->
       search_internal ?warm_start ~max_expanded ~beam ~shard
         ~on_budget:(fun _ -> ()) ~pool p)
-
-let search_anytime ?max_expanded ?jobs p =
-  let r, cert = search_budgeted ?max_expanded ?jobs p in
-  (r, cert = Optimal)

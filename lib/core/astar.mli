@@ -149,9 +149,3 @@ val search_budgeted :
   ?warm_start:Vis_costmodel.Config.t ->
   Problem.t ->
   result * certificate
-
-(** [search_anytime ?max_expanded ?jobs p] is
-    [search_budgeted ?max_expanded ?jobs p] with the certificate collapsed
-    to a boolean: [(result, true)] means proven optimal.  Kept for callers
-    that do not need the optimality gap. *)
-val search_anytime : ?max_expanded:int -> ?jobs:int -> Problem.t -> result * bool

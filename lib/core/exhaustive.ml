@@ -1,4 +1,3 @@
-module Bitset = Vis_util.Bitset
 module Parallel = Vis_util.Parallel
 module Config = Vis_costmodel.Config
 
@@ -25,15 +24,6 @@ let list_subsets items ~f =
     f !subset
   done
 
-(* Beyond the view subsets, the inner axis enumerates every
-   always-applicable extra feature: eligible indexes plus compression
-   candidates (always-materialized elements, so independent of the view
-   choice). *)
-let apply_extra config = function
-  | Problem.F_view w -> Config.add_view config w
-  | Problem.F_index ix -> Config.add_index config ix
-  | Problem.F_compress e -> Config.add_compress config e
-
 (* Σ over view subsets S of 2^(always-on + Σ_{v∈S} per-view candidates)
    = 2^always-on · Π_v (1 + 2^candidates(v)) — closed form, since each
    view contributes its candidate indexes independently.  [always] counts
@@ -56,7 +46,7 @@ let enumerate p ~f =
       let extras = Problem.extra_features_for_views p views in
       list_subsets extras ~f:(fun feats ->
           let config =
-            List.fold_left apply_extra (Config.make ~views ~indexes:[]) feats
+            List.fold_left Problem.add_feature (Config.make ~views ~indexes:[]) feats
           in
           let cost = Problem.total p config in
           let space = Config.space p.Problem.derived config in
@@ -123,44 +113,6 @@ let search ?jobs ?(max_states = 2_000_000) p =
         done
       done;
       let ranges = Array.of_list (List.rev !ranges) in
-      (* Packed enumeration: each view subset's global view-bit mask and the
-         global bit of every eligible index are precomputed, so a state's
-         packed configuration is [vg lor (bits of im)] — a shard walks its
-         integer interval costing consecutive states incrementally from the
-         previous one.  Costs are bitwise equal to [Problem.total], so the
-         bound/tie logic and the merged winner are unchanged. *)
-      let packed =
-        match Config_id.of_problem p with
-        | None -> None
-        | Some cid -> (
-            try
-              let info =
-                Array.map
-                  (fun (views, extras) ->
-                    let vg =
-                      List.fold_left
-                        (fun acc w ->
-                          match
-                            Config_id.bit_of_feature cid (Problem.F_view w)
-                          with
-                          | Some b -> acc lor (1 lsl b)
-                          | None -> raise Exit)
-                        0 views
-                    in
-                    let gb =
-                      Array.map
-                        (fun f ->
-                          match Config_id.bit_of_feature cid f with
-                          | Some b -> 1 lsl b
-                          | None -> raise Exit)
-                        extras
-                    in
-                    (vg, gb))
-                  per_view
-              in
-              Some (cid, info)
-            with Exit -> None)
-      in
       let bound = Atomic.make infinity in
       let rec lower_bound c =
         let cur = Atomic.get bound in
@@ -178,48 +130,20 @@ let search ?jobs ?(max_states = 2_000_000) p =
               let best_c = ref infinity in
               let best_g = ref max_int in
               let best_cfg = ref None in
-              (match packed with
-              | Some (cid, info) ->
-                  let vg, gb = info.(vm) in
-                  let prev = ref None in
-                  for im = lo to hi - 1 do
-                    let gmask = ref vg in
-                    let m = ref im and i = ref 0 in
-                    while !m <> 0 do
-                      if !m land 1 <> 0 then gmask := !gmask lor gb.(!i);
-                      incr i;
-                      m := !m lsr 1
-                    done;
-                    let gmask = !gmask in
-                    let ie =
-                      match !prev with
-                      | None -> Config_id.eval cid gmask
-                      | Some pie -> Config_id.eval_from cid pie gmask
-                    in
-                    prev := Some ie;
-                    let cost = Vis_costmodel.Cost.ieval_total ie in
-                    if cost < !best_c && cost <= Atomic.get bound then begin
-                      best_c := cost;
-                      best_g := goff + im;
-                      best_cfg := Some (Config_id.config_of_mask cid gmask);
-                      lower_bound cost
-                    end
-                  done
-              | None ->
-                  for im = lo to hi - 1 do
-                    let config =
-                      List.fold_left apply_extra
-                        (Config.make ~views ~indexes:[])
-                        (subset_of_mask extras im)
-                    in
-                    let cost = Problem.total p config in
-                    if cost < !best_c && cost <= Atomic.get bound then begin
-                      best_c := cost;
-                      best_g := goff + im;
-                      best_cfg := Some config;
-                      lower_bound cost
-                    end
-                  done);
+              for im = lo to hi - 1 do
+                let config =
+                  List.fold_left Problem.add_feature
+                    (Config.make ~views ~indexes:[])
+                    (subset_of_mask extras im)
+                in
+                let cost = Problem.total p config in
+                if cost < !best_c && cost <= Atomic.get bound then begin
+                  best_c := cost;
+                  best_g := goff + im;
+                  best_cfg := Some config;
+                  lower_bound cost
+                end
+              done;
               shard_best.(c) <- (!best_c, !best_g, !best_cfg));
           (* One batch = one exchange round; each shard's work is its state
              count, known up front. *)

@@ -27,8 +27,7 @@ val count_states : Problem.t -> float
     The sharding follows the contract documented in {!Vis_util.Parallel}:
     the state space is cut into ~64 contiguous ranges of the sequential
     enumeration order (never crossing a view-subset boundary, so each shard
-    costs one eligible-index universe, delta-walking consecutive packed
-    states), and the cut points depend only on the problem — never on
+    costs one eligible-index universe), and the cut points depend only on the problem — never on
     [jobs].  Shards share a lock-free incumbent bound; ties against the
     bound are kept and the shard results are merged by (cost, sequential
     position), so the configuration returned — and every counter — is

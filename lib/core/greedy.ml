@@ -1,7 +1,4 @@
-module Bitset = Vis_util.Bitset
 module Parallel = Vis_util.Parallel
-module Schema = Vis_catalog.Schema
-module Element = Vis_costmodel.Element
 module Config = Vis_costmodel.Config
 
 type step = { s_feature : Problem.feature; s_cost_after : float }
@@ -13,28 +10,6 @@ type result = {
   evaluations : int;
   search_stats : Search_stats.t;
 }
-
-let feature_in_config config = function
-  | Problem.F_view w -> Config.has_view config w
-  | Problem.F_index ix ->
-      Config.has_index config ix.Element.ix_elem ix.Element.ix_attr
-  | Problem.F_compress e -> Config.has_compress config e
-
-let feature_applicable p config = function
-  | Problem.F_view _ -> true
-  | Problem.F_index ix -> (
-      match ix.Element.ix_elem with
-      | Element.Base _ -> true
-      | Element.View w ->
-          Bitset.equal w (Schema.all_relations p.Problem.schema)
-          || Config.has_view config w)
-  (* Compression candidates are always-materialized elements. *)
-  | Problem.F_compress _ -> true
-
-let apply config = function
-  | Problem.F_view w -> Config.add_view config w
-  | Problem.F_index ix -> Config.add_index config ix
-  | Problem.F_compress e -> Config.add_compress config e
 
 let search_with_pool ~pool ?space_budget p =
   let sstats = Search_stats.create ~algorithm:"greedy" () in
@@ -49,73 +24,10 @@ let search_with_pool ~pool ?space_budget p =
     | None -> true
     | Some b -> Config.space p.Problem.derived config <= b
   in
-  (* Packed path: states are feature masks, successors are costed
-     incrementally from the current state's per-element evaluation.
-     Candidate bits ascend in [Problem.features] order and every counter
-     bump mirrors the structural loop below, so steps, counters, and the
-     chosen configuration are bit-identical. *)
-  let rec packed_loop cid mask ieval current steps =
-    Search_stats.expand sstats;
-    let n = Config_id.n_features cid in
-    let candidates = ref [] in
-    for b = n - 1 downto 0 do
-      if
-        (not (Config_id.has_feature cid mask b))
-        && Config_id.applicable cid mask b
-      then candidates := b :: !candidates
-    done;
-    let candidates = !candidates in
-    Search_stats.observe_frontier sstats (List.length candidates);
-    let arr = Array.of_list candidates in
-    let score b =
-      let mask' = Config_id.add cid mask b in
-      let ok =
-        match space_budget with
-        | None -> true
-        | Some _ -> within_budget (Config_id.config_of_mask cid mask')
-      in
-      if not ok then None
-      else begin
-        let ie = Config_id.eval_from cid ieval mask' in
-        Some (mask', ie, Vis_costmodel.Cost.ieval_total ie)
-      end
-    in
-    let entries =
-      if Parallel.jobs pool > 1 && Array.length arr > 1 then
-        Parallel.map_array pool score arr
-      else Array.map score arr
-    in
-    let best = ref None in
-    Array.iteri
-      (fun i b ->
-        match entries.(i) with
-        | None -> Search_stats.prune sstats "space-budget"
-        | Some (mask', ie, c) ->
-            Search_stats.generate sstats;
-            incr evaluations;
-            Search_stats.evaluate sstats;
-            (match !best with
-            | Some (_, _, _, best_c) when best_c <= c -> ()
-            | _ when c < current -> best := Some (b, mask', ie, c)
-            | _ -> ()))
-      arr;
-    match !best with
-    | None ->
-        {
-          best = Config_id.config_of_mask cid mask;
-          best_cost = current;
-          steps = List.rev steps;
-          evaluations = !evaluations;
-          search_stats = sstats;
-        }
-    | Some (b, mask', ie, c) ->
-        packed_loop cid mask' ie c
-          ({ s_feature = Config_id.feature cid b; s_cost_after = c } :: steps)
-  in
   (* Cost the candidate in a worker; the budget check and the evaluation are
      pure, so the entries are identical at any [jobs] setting. *)
   let score config f =
-    let config' = apply config f in
+    let config' = Problem.add_feature config f in
     if not (within_budget config') then None
     else Some (config', Problem.total p config')
   in
@@ -124,7 +36,7 @@ let search_with_pool ~pool ?space_budget p =
     let candidates =
       List.filter
         (fun f ->
-          (not (feature_in_config config f)) && feature_applicable p config f)
+          (not (Problem.has_feature config f)) && Problem.applicable p config f)
         p.Problem.features
     in
     Search_stats.observe_frontier sstats (List.length candidates);
@@ -173,13 +85,7 @@ let search_with_pool ~pool ?space_budget p =
       Search_stats.time sstats "search" (fun () ->
           Search_stats.generate sstats;
           (* the empty start configuration *)
-          match Config_id.of_problem p with
-          | Some cid ->
-              let ie0 = Config_id.eval cid 0 in
-              incr evaluations;
-              Search_stats.evaluate sstats;
-              packed_loop cid 0 ie0 (Vis_costmodel.Cost.ieval_total ie0) []
-          | None -> loop Config.empty (cost Config.empty) []))
+          loop Config.empty (cost Config.empty) []))
 
 let search ?jobs ?pool ?space_budget p =
   Parallel.using ?jobs ?pool (fun pool -> search_with_pool ~pool ?space_budget p)

@@ -1,6 +1,3 @@
-module Bitset = Vis_util.Bitset
-module Schema = Vis_catalog.Schema
-module Element = Vis_costmodel.Element
 module Config = Vis_costmodel.Config
 
 type result = {
@@ -10,41 +7,6 @@ type result = {
   evaluations : int;
   search_stats : Search_stats.t;
 }
-
-let feature_in config = function
-  | Problem.F_view w -> Config.has_view config w
-  | Problem.F_index ix ->
-      Config.has_index config ix.Element.ix_elem ix.Element.ix_attr
-  | Problem.F_compress e -> Config.has_compress config e
-
-let applicable p config = function
-  | Problem.F_view _ -> true
-  | Problem.F_index ix -> (
-      match ix.Element.ix_elem with
-      | Element.Base _ -> true
-      | Element.View w ->
-          Bitset.equal w (Schema.all_relations p.Problem.schema)
-          || Config.has_view config w)
-  (* Compression candidates are always-materialized elements. *)
-  | Problem.F_compress _ -> true
-
-let add config = function
-  | Problem.F_view w -> Config.add_view config w
-  | Problem.F_index ix -> Config.add_index config ix
-  | Problem.F_compress e -> Config.add_compress config e
-
-(* Dropping a view also drops the indexes living on it. *)
-let drop config = function
-  | Problem.F_view w ->
-      let config = Config.remove_view config w in
-      List.fold_left
-        (fun c ix ->
-          if Element.equal ix.Element.ix_elem (Element.View w) then
-            Config.remove_index c ix
-          else c)
-        config (Config.indexes config)
-  | Problem.F_index ix -> Config.remove_index config ix
-  | Problem.F_compress e -> Config.remove_compress config e
 
 let search ?seed ?space_budget ?(max_moves = 1000) p =
   let sstats = Search_stats.create ~algorithm:"local-search" () in
@@ -66,78 +28,6 @@ let search ?seed ?space_budget ?(max_moves = 1000) p =
         Search_stats.time sstats "greedy-seed" (fun () ->
             (Greedy.search ?space_budget p).Greedy.best)
   in
-  (* Packed hill-climb: masks for states, closure masks for drops,
-     incremental costing for every considered neighbour.  Candidate order,
-     counter bumps, and tie-breaking mirror the structural [climb] below
-     exactly, so both paths pick the same local optimum bit-for-bit. *)
-  let rec packed_climb cid mask ieval current moves =
-    if moves >= max_moves then begin
-      Search_stats.prune sstats "move-budget";
-      (mask, current, moves)
-    end
-    else begin
-      Search_stats.expand sstats;
-      let n = Config_id.n_features cid in
-      let cands_in = ref [] and cands_out = ref [] in
-      for b = n - 1 downto 0 do
-        if Config_id.has_feature cid mask b then cands_in := b :: !cands_in
-        else if Config_id.applicable cid mask b then
-          cands_out := b :: !cands_out
-      done;
-      let candidates_in = !cands_in and candidates_out = !cands_out in
-      Search_stats.observe_frontier sstats
-        (List.length candidates_in + List.length candidates_out);
-      let consider best mask' =
-        let ok =
-          match space_budget with
-          | None -> true
-          | Some _ -> within (Config_id.config_of_mask cid mask')
-        in
-        if not ok then begin
-          Search_stats.prune sstats "space-budget";
-          best
-        end
-        else begin
-          Search_stats.generate sstats;
-          let ie = Config_id.eval_from cid ieval mask' in
-          incr evaluations;
-          Search_stats.evaluate sstats;
-          let c = Vis_costmodel.Cost.ieval_total ie in
-          match best with
-          | Some (_, _, bc) when bc <= c -> best
-          | _ when c < current -> Some (mask', ie, c)
-          | _ -> best
-        end
-      in
-      let best =
-        List.fold_left
-          (fun acc b -> consider acc (Config_id.add cid mask b))
-          None candidates_out
-      in
-      let best =
-        List.fold_left
-          (fun acc b -> consider acc (Config_id.drop cid mask b))
-          best candidates_in
-      in
-      let best =
-        List.fold_left
-          (fun acc b_out ->
-            List.fold_left
-              (fun acc b_in ->
-                let mask' = Config_id.drop cid mask b_in in
-                (* The added feature must still be applicable after the drop
-                   (e.g. not an index on the dropped view). *)
-                if Config_id.applicable cid mask' b_out then
-                  consider acc (Config_id.add cid mask' b_out)
-                else acc)
-              acc candidates_in)
-          best candidates_out
-      in
-      match best with
-      | None -> (mask, current, moves)
-      | Some (mask', ie, c) -> packed_climb cid mask' ie c (moves + 1)
-    end
-  in
   let rec climb config current moves =
     if moves >= max_moves then begin
       Search_stats.prune sstats "move-budget";
@@ -146,11 +36,11 @@ let search ?seed ?space_budget ?(max_moves = 1000) p =
     else begin
       Search_stats.expand sstats;
       let candidates_in =
-        List.filter (fun f -> feature_in config f) p.Problem.features
+        List.filter (fun f -> Problem.has_feature config f) p.Problem.features
       in
       let candidates_out =
         List.filter
-          (fun f -> (not (feature_in config f)) && applicable p config f)
+          (fun f -> (not (Problem.has_feature config f)) && Problem.applicable p config f)
           p.Problem.features
       in
       Search_stats.observe_frontier sstats
@@ -169,17 +59,18 @@ let search ?seed ?space_budget ?(max_moves = 1000) p =
           | _ -> best
         end
       in
-      let best = List.fold_left (fun b f -> consider b (add config f)) None candidates_out in
-      let best = List.fold_left (fun b f -> consider b (drop config f)) best candidates_in in
+      let best = List.fold_left (fun b f -> consider b (Problem.add_feature config f)) None candidates_out in
+      let best = List.fold_left (fun b f -> consider b (Problem.drop_feature config f)) best candidates_in in
       let best =
         List.fold_left
           (fun b f_out ->
             List.fold_left
               (fun b f_in ->
-                let config' = drop config f_in in
+                let config' = Problem.drop_feature config f_in in
                 (* The added feature must still be applicable after the drop
                    (e.g. not an index on the dropped view). *)
-                if applicable p config' f_out then consider b (add config' f_out)
+                if Problem.applicable p config' f_out then
+                  consider b (Problem.add_feature config' f_out)
                 else b)
               b candidates_in)
           best candidates_out
@@ -191,33 +82,8 @@ let search ?seed ?space_budget ?(max_moves = 1000) p =
   in
   Search_stats.generate sstats;
   (* the seed configuration *)
-  let packed =
-    match Config_id.of_problem p with
-    | Some cid -> (
-        match Config_id.mask_of_config cid start with
-        | Some m -> Some (cid, m)
-        | None -> None (* out-of-universe seed: structural path *))
-    | None -> None
+  let seed_cost = cost start in
+  let best, best_cost, moves =
+    Search_stats.time sstats "climb" (fun () -> climb start seed_cost 0)
   in
-  match packed with
-  | Some (cid, m0) ->
-      let ie0 = Config_id.eval cid m0 in
-      incr evaluations;
-      Search_stats.evaluate sstats;
-      let bmask, best_cost, moves =
-        Search_stats.time sstats "climb" (fun () ->
-            packed_climb cid m0 ie0 (Vis_costmodel.Cost.ieval_total ie0) 0)
-      in
-      {
-        best = Config_id.config_of_mask cid bmask;
-        best_cost;
-        moves;
-        evaluations = !evaluations;
-        search_stats = sstats;
-      }
-  | None ->
-      let seed_cost = cost start in
-      let best, best_cost, moves =
-        Search_stats.time sstats "climb" (fun () -> climb start seed_cost 0)
-      in
-      { best; best_cost; moves; evaluations = !evaluations; search_stats = sstats }
+  { best; best_cost; moves; evaluations = !evaluations; search_stats = sstats }

@@ -121,13 +121,8 @@ let candidate_views_of schema ~connected_only ~max_view_rels =
          | 0 -> Bitset.compare a b
          | c -> c)
 
-let slow_cost_env () =
-  match Sys.getenv_opt "VISMAT_SLOW_COST" with
-  | Some ("" | "0") | None -> false
-  | Some _ -> true
-
 let make ?(connected_only = false) ?max_view_rels ?(share_cache = true)
-    ?slow_cost ?(compression = false) ?candidates schema =
+    ?(compression = false) ?candidates schema =
   (match max_view_rels with
   | Some k when k < 1 -> invalid_arg "Problem.make: max_view_rels must be >= 1"
   | Some _ | None -> ());
@@ -174,16 +169,10 @@ let make ?(connected_only = false) ?max_view_rels ?(share_cache = true)
           F_view w :: List.map (fun ix -> F_index ix) (indexes_of (Element.View w)))
         candidate_views
   in
-  let slow_cost =
-    match slow_cost with Some b -> b | None -> slow_cost_env ()
-  in
-  (* The packed evaluator shares one memo cache across all masked
-     configurations by construction, so the no-sharing ablation
-     ([share_cache = false]) must also disable it; [slow_cost] (or
-     VISMAT_SLOW_COST=1) keeps the structural evaluator for differential
-     checking. *)
+  (* Mask keys only pay off in the shared memo cache, so the no-sharing
+     ablation ([share_cache = false]) keeps structural keys. *)
   let encoding =
-    if slow_cost || not share_cache then None
+    if not share_cache then None
     else
       match Cost.make_encoding derived (Array.of_list features) with
       | enc -> Some enc
@@ -225,19 +214,12 @@ let extra_features_for_views p views =
   List.map (fun ix -> F_index ix) (indexes_for_views p views)
   @ List.map (fun e -> F_compress e) p.compress_elems
 
+(* Configurations outside the universe (e.g. Sensitivity costing an
+   arbitrary configuration) get structural keys, which share the same cache
+   disjointly. *)
 let evaluator p config =
-  match p.encoding with
-  | Some enc -> (
-      (* Packed keys for in-universe configurations; anything outside the
-         universe (e.g. Sensitivity costing an arbitrary configuration)
-         falls back to the structural keying, which shares the same cache
-         disjointly. *)
-      match Cost.mask_of_config enc config with
-      | Some mask -> Cost.create_masked ~cache:p.cache p.derived enc mask
-      | None -> Cost.create ~cache:p.cache p.derived config)
-  | None ->
-      if p.share_cache then Cost.create ~cache:p.cache p.derived config
-      else Cost.create p.derived config
+  if p.share_cache then Cost.create ~cache:p.cache ?encoding:p.encoding p.derived config
+  else Cost.create p.derived config
 
 let total p config = Cost.total (evaluator p config)
 
@@ -254,6 +236,39 @@ let feature_name p = function
   | F_compress e -> "compress(" ^ Element.name p.schema e ^ ")"
 
 let equal_feature = Config.equal_feature
+
+let has_feature config = function
+  | F_view w -> Config.has_view config w
+  | F_index ix -> Config.has_index config ix.Element.ix_elem ix.Element.ix_attr
+  | F_compress e -> Config.has_compress config e
+
+let applicable p config = function
+  | F_view _ -> true
+  | F_index ix -> (
+      match ix.Element.ix_elem with
+      | Element.Base _ -> true
+      | Element.View w ->
+          Bitset.equal w (Schema.all_relations p.schema) || Config.has_view config w)
+  (* Compression candidates are always-materialized elements. *)
+  | F_compress _ -> true
+
+let add_feature config = function
+  | F_view w -> Config.add_view config w
+  | F_index ix -> Config.add_index config ix
+  | F_compress e -> Config.add_compress config e
+
+(* Dropping a view also drops the indexes living on it. *)
+let drop_feature config = function
+  | F_view w ->
+      let config = Config.remove_view config w in
+      List.fold_left
+        (fun c ix ->
+          if Element.equal ix.Element.ix_elem (Element.View w) then
+            Config.remove_index c ix
+          else c)
+        config (Config.indexes config)
+  | F_index ix -> Config.remove_index config ix
+  | F_compress e -> Config.remove_compress config e
 
 let valid_config p config =
   let view_ok w = List.exists (Bitset.equal w) p.candidate_views in

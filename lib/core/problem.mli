@@ -57,9 +57,9 @@ type t = {
           indexes first (all state-independent) *)
   encoding : Vis_costmodel.Cost.encoding option;
       (** the problem's feature universe numbered into bits, when it fits in
-          62 features and neither [slow_cost] nor the no-sharing ablation
-          disabled it; searches use it via {!Config_id} for packed states
-          and incremental delta-costing *)
+          62 features and the no-sharing ablation did not disable it;
+          {!evaluator} then keys the memo cache by [mask land relevance]
+          (see {!Vis_costmodel.Cost.create}) *)
   restricted : candidates option;
       (** the mined candidate restriction [make] was given, if any; consulted
           by {!candidate_indexes_on} so index enumeration and validation stay
@@ -69,29 +69,25 @@ type t = {
 (** [make schema] enumerates the candidates.  [max_view_rels] caps candidate
     supporting views to subsets of at most that many relations — the
     candidate-pruning knob for star/snowflake schemas whose full subset
-    lattice is intractable (and overflows the 62-bit packed encoding); the
+    lattice is intractable (and overflows the 62-bit feature encoding); the
     always-on base and primary-view indexes are unaffected, and the default
     ([None]) keeps the paper's complete enumeration.  [share_cache] (default true)
     makes every {!evaluator} share one {!Vis_costmodel.Cost.cache}, so cost
     derivations are reused across the many configurations a search visits;
     disabling it isolates each evaluation (for measuring what memoization
-    saves) and also disables the packed encoding.  [slow_cost] (default: the
-    [VISMAT_SLOW_COST] environment variable, true when set non-empty and
-    non-zero) forces the structural evaluator everywhere — the escape hatch
-    kept alive for differential checking of the packed path.  [compression]
+    saves) and also disables the feature encoding.  [compression]
     (default false) adds an [F_compress] candidate per always-materialized
     element — a new axis the searches trade on: compressed elements cost
     roughly half the I/Os but a CPU surcharge per page (see
     {!Vis_costmodel.Cost.compress_page_ratio}); the default keeps the
     search space and every cost bitwise identical to a compression-free
     problem.  [candidates] (default [None] — exhaustive enumeration)
-    restricts the space to a workload-mined {!candidates} set; all searches,
-    the packed encoding, and [Config_id] then run on the pruned universe. *)
+    restricts the space to a workload-mined {!candidates} set; all searches
+    and the feature encoding then run on the pruned universe. *)
 val make :
   ?connected_only:bool ->
   ?max_view_rels:int ->
   ?share_cache:bool ->
-  ?slow_cost:bool ->
   ?compression:bool ->
   ?candidates:candidates ->
   Vis_catalog.Schema.t ->
@@ -132,6 +128,19 @@ val feature_space : t -> feature -> float
 val feature_name : t -> feature -> string
 
 val equal_feature : feature -> feature -> bool
+
+(** [has_feature config f]: does [config] materialize [f]? *)
+val has_feature : Vis_costmodel.Config.t -> feature -> bool
+
+(** [applicable p config f]: can [f] be added to [config]?  An index on a
+    candidate view requires the view to be materialized. *)
+val applicable : t -> Vis_costmodel.Config.t -> feature -> bool
+
+val add_feature : Vis_costmodel.Config.t -> feature -> Vis_costmodel.Config.t
+
+(** [drop_feature config f] removes [f]; dropping a view also drops the
+    indexes built on it. *)
+val drop_feature : Vis_costmodel.Config.t -> feature -> Vis_costmodel.Config.t
 
 (** [valid_config p config] checks that a configuration only uses candidate
     views and candidate indexes, and that each index's element is

@@ -223,25 +223,17 @@ let index_sig_code schema ix =
   lnot ((elem_sig_code schema ix.Element.ix_elem * 4096) + attr)
 
 (* ------------------------------------------------------------------ *)
-(* Feature encoding: a problem's candidate features (views + indexes)
-   numbered once into bits 0..61, so a configuration drawn from that
-   universe is a single [int] mask.  The encoding also precomputes, per
-   maintained element, the *relevance mask* — the bits of features whose
-   relation set is contained in the element's (exactly the features
-   [Config.restrict] would keep) — so the memoization key of an element
-   under mask [m] is just [m land relevance].  Everything here is immutable
-   after construction (the counters are atomics), so encodings are shared
-   freely across worker domains. *)
+(* Feature encoding: a problem's candidate features (views, indexes,
+   compression) numbered once into bits 0..61, so a configuration drawn
+   from that universe is a single [int] mask.  The encoding also
+   precomputes, per maintained element, the *relevance mask* — the bits of
+   features whose relation set is contained in the element's (exactly the
+   features [Config.restrict] would keep) — so the memoization key of an
+   element under mask [m] is just [m land relevance].  Everything here is
+   immutable after construction, so encodings are shared freely across
+   worker domains. *)
 
 exception Encoding_too_large of int
-
-type incr_stats = {
-  is_full : int;  (** configurations costed from scratch *)
-  is_delta : int;  (** configurations costed from a neighbour *)
-  is_reused : int;  (** zero-change evaluations answered by the parent *)
-  is_elems_computed : int;  (** per-element costs (re)derived *)
-  is_elems_copied : int;  (** per-element costs copied from the parent *)
-}
 
 type encoding = {
   en_schema : Schema.t;
@@ -250,21 +242,6 @@ type encoding = {
   en_index_bit : (int, int) Hashtbl.t;  (* index signature code -> bit *)
   en_compress_bit : (int, int) Hashtbl.t;  (* element signature code -> bit *)
   en_relevance : (int, int) Hashtbl.t;  (* relation-set int -> relevance mask *)
-  en_n_rels : int;
-  (* Incremental-evaluation slots: base relations 0..n-1, then the
-     candidate views ascending by [Bitset.compare] (the order [Config.views]
-     yields, so totals re-sum in the canonical order), then the primary
-     view.  [en_slot_elems]/[en_slot_relevance]/[en_slot_bit] describe each
-     slot; [en_slot_bit] is -1 for always-maintained slots. *)
-  en_slot_elems : Element.t array;
-  en_slot_relevance : int array;
-  en_slot_bit : int array;
-  (* Exact work counters for the incremental evaluator. *)
-  en_full : int Atomic.t;
-  en_delta : int Atomic.t;
-  en_reused : int Atomic.t;
-  en_elems_computed : int Atomic.t;
-  en_elems_copied : int Atomic.t;
 }
 
 let compute_relevance features rels =
@@ -289,42 +266,18 @@ let make_encoding derived features =
       | Config.F_compress e ->
           Hashtbl.replace compress_bit (elem_sig_code schema e) i)
     features;
-  let n_rels = Schema.n_relations schema in
-  let views =
-    Array.to_list features
-    |> List.filter_map (function
-         | Config.F_view w -> Some w
-         | Config.F_index _ | Config.F_compress _ -> None)
-    |> List.sort Bitset.compare
-  in
-  let slot_elems =
-    Array.of_list
-      (List.init n_rels (fun i -> Element.Base i)
-      @ List.map (fun w -> Element.View w) views
-      @ [ Element.View (Schema.all_relations schema) ])
-  in
+  (* Relevance of every element a configuration of the universe can
+     maintain: the base relations, the candidate views, the primary view. *)
   let relevance_tbl = Hashtbl.create 64 in
-  let relevance_of rels =
-    let key = Bitset.to_int rels in
-    match Hashtbl.find_opt relevance_tbl key with
-    | Some m -> m
-    | None ->
-        let m = compute_relevance features rels in
-        Hashtbl.replace relevance_tbl key m;
-        m
+  let add_relevance rels =
+    Hashtbl.replace relevance_tbl (Bitset.to_int rels)
+      (compute_relevance features rels)
   in
-  let slot_relevance =
-    Array.map (fun e -> relevance_of (Element.rels e)) slot_elems
-  in
-  let slot_bit =
-    Array.map
-      (fun e ->
-        match e with
-        | Element.Base _ -> -1
-        | Element.View w when Bitset.equal w (Schema.all_relations schema) -> -1
-        | Element.View w -> Hashtbl.find view_bit (Bitset.to_int w))
-      slot_elems
-  in
+  for i = 0 to Schema.n_relations schema - 1 do
+    add_relevance (Bitset.singleton i)
+  done;
+  Hashtbl.iter (fun w _ -> add_relevance (Bitset.of_int w)) view_bit;
+  add_relevance (Schema.all_relations schema);
   {
     en_schema = schema;
     en_features = features;
@@ -332,18 +285,7 @@ let make_encoding derived features =
     en_index_bit = index_bit;
     en_compress_bit = compress_bit;
     en_relevance = relevance_tbl;
-    en_n_rels = n_rels;
-    en_slot_elems = slot_elems;
-    en_slot_relevance = slot_relevance;
-    en_slot_bit = slot_bit;
-    en_full = Atomic.make 0;
-    en_delta = Atomic.make 0;
-    en_reused = Atomic.make 0;
-    en_elems_computed = Atomic.make 0;
-    en_elems_copied = Atomic.make 0;
   }
-
-let encoding_features enc = enc.en_features
 
 (* Relevance of an arbitrary element; the table covers every maintained
    element of the universe, so misses only happen for out-of-universe
@@ -353,15 +295,6 @@ let relevance enc rels =
   | Some m -> m
   | None -> compute_relevance enc.en_features rels
 
-let feature_bit enc = function
-  | Config.F_view w -> Hashtbl.find_opt enc.en_view_bit (Bitset.to_int w)
-  | Config.F_index ix ->
-      Hashtbl.find_opt enc.en_index_bit (index_sig_code enc.en_schema ix)
-  | Config.F_compress e ->
-      Hashtbl.find_opt enc.en_compress_bit (elem_sig_code enc.en_schema e)
-
-let view_feature_bit enc w = Hashtbl.find_opt enc.en_view_bit (Bitset.to_int w)
-
 exception Out_of_universe
 
 let mask_of_config enc config =
@@ -369,7 +302,7 @@ let mask_of_config enc config =
     let m =
       List.fold_left
         (fun acc w ->
-          match view_feature_bit enc w with
+          match Hashtbl.find_opt enc.en_view_bit (Bitset.to_int w) with
           | Some b -> acc lor (1 lsl b)
           | None -> raise Out_of_universe)
         0 (Config.views config)
@@ -410,33 +343,6 @@ let config_of_mask enc mask =
     (Config.make ~views:!views ~indexes:!indexes)
     !compress
 
-let incr_stats enc =
-  {
-    is_full = Atomic.get enc.en_full;
-    is_delta = Atomic.get enc.en_delta;
-    is_reused = Atomic.get enc.en_reused;
-    is_elems_computed = Atomic.get enc.en_elems_computed;
-    is_elems_copied = Atomic.get enc.en_elems_copied;
-  }
-
-let reset_incr_stats enc =
-  Atomic.set enc.en_full 0;
-  Atomic.set enc.en_delta 0;
-  Atomic.set enc.en_reused 0;
-  Atomic.set enc.en_elems_computed 0;
-  Atomic.set enc.en_elems_copied 0
-
-let incr_stats_json enc =
-  let s = incr_stats enc in
-  Vis_util.Json.Obj
-    [
-      ("full_evals", Vis_util.Json.Int s.is_full);
-      ("delta_evals", Vis_util.Json.Int s.is_delta);
-      ("reused_evals", Vis_util.Json.Int s.is_reused);
-      ("elems_computed", Vis_util.Json.Int s.is_elems_computed);
-      ("elems_copied", Vis_util.Json.Int s.is_elems_copied);
-    ]
-
 (* ------------------------------------------------------------------ *)
 
 type structural_keying = {
@@ -455,16 +361,12 @@ type keying =
 
 type t = {
   derived : Derived.t;
-  (* Decoded from the mask only when a computation actually needs the
-     symbolic configuration (i.e. on cache misses). *)
-  config : Config.t Lazy.t;
+  config : Config.t;
   cache : cache;
   keying : keying;
 }
 
-let create ?cache derived config =
-  let cache = match cache with Some c -> c | None -> new_cache () in
-  let schema = Derived.schema derived in
+let structural_keying schema config =
   let enc_views =
     List.map (fun v -> (v, 2 * Bitset.to_int v)) (Config.views config)
   in
@@ -474,29 +376,24 @@ let create ?cache derived config =
       (Config.indexes config)
   in
   (* Codes must match {!Config.signature_ints} so structural keys agree with
-     the packed universe's decoded configurations. *)
+     the encoded universe's decoded configurations. *)
   let enc_compress =
     List.map
       (fun e -> (Element.rels e, lnot ((1 lsl 40) + elem_sig_code schema e)))
       (Config.compress config)
   in
-  {
-    derived;
-    config = Lazy.from_val config;
-    cache;
-    keying = K_structural { enc_views; enc_indexes; enc_compress; prefixes = [] };
-  }
+  K_structural { enc_views; enc_indexes; enc_compress; prefixes = [] }
 
-let create_masked ?cache derived enc mask =
+let create ?cache ?encoding derived config =
   let cache = match cache with Some c -> c | None -> new_cache () in
-  {
-    derived;
-    config = lazy (config_of_mask enc mask);
-    cache;
-    keying = K_masked { enc; kmask = mask };
-  }
+  let keying =
+    match Option.bind encoding (fun enc -> mask_of_config enc config) with
+    | Some kmask -> K_masked { enc = Option.get encoding; kmask }
+    | None -> structural_keying (Derived.schema derived) config
+  in
+  { derived; config; cache; keying }
 
-let config t = Lazy.force t.config
+let config t = t.config
 
 (* Page-level compression.  A compressed element stores its tuples in
    roughly [compress_page_ratio] of the pages, so each logical data-page
@@ -984,77 +881,6 @@ let total t =
   List.fold_left (fun acc e -> acc +. element_cost t e) 0. (maintained_elements t)
 
 let total_of ?cache derived config = total (create ?cache derived config)
-
-(* ------------------------------------------------------------------ *)
-(* Incremental evaluation over a feature universe.  An [ieval] carries the
-   per-slot maintenance costs of one masked configuration; costing a
-   neighbour (one feature flipped) recomputes only the slots whose relevance
-   mask meets the changed bits and copies the rest, so a successor
-   evaluation touches O(affected elements) instead of the whole plan.
-   Totals re-sum every active slot in the exact order [total] folds
-   [maintained_elements] — bases ascending, present views ascending by
-   [Bitset.compare], then the primary view — so fast and slow paths agree
-   bitwise, not just approximately. *)
-
-type ieval = {
-  ie_enc : encoding;
-  ie_mask : int;
-  ie_total : float;
-  ie_elems : float array;  (* per-slot cost; only active slots meaningful *)
-}
-
-let ieval_total ie = ie.ie_total
-
-let ieval_mask ie = ie.ie_mask
-
-let slot_active enc mask s =
-  let b = enc.en_slot_bit.(s) in
-  b < 0 || mask land (1 lsl b) <> 0
-
-let eval_mask ?cache derived enc mask =
-  Atomic.incr enc.en_full;
-  let t = create_masked ?cache derived enc mask in
-  let n = Array.length enc.en_slot_elems in
-  let elems = Array.make n 0. in
-  let total = ref 0. in
-  for s = 0 to n - 1 do
-    if slot_active enc mask s then begin
-      let c = element_cost t enc.en_slot_elems.(s) in
-      elems.(s) <- c;
-      total := !total +. c;
-      Atomic.incr enc.en_elems_computed
-    end
-  done;
-  { ie_enc = enc; ie_mask = mask; ie_total = !total; ie_elems = elems }
-
-let eval_delta ?cache derived parent mask =
-  let enc = parent.ie_enc in
-  let changed = parent.ie_mask lxor mask in
-  if changed = 0 then begin
-    Atomic.incr enc.en_reused;
-    parent
-  end
-  else begin
-    Atomic.incr enc.en_delta;
-    let t = create_masked ?cache derived enc mask in
-    let n = Array.length enc.en_slot_elems in
-    let elems = Array.copy parent.ie_elems in
-    let total = ref 0. in
-    for s = 0 to n - 1 do
-      if slot_active enc mask s then begin
-        (* A slot newly activated by this delta has its own feature bit in
-           [changed] (its relevance contains that bit), so stale values from
-           a mask where the slot was inactive can never be copied. *)
-        if enc.en_slot_relevance.(s) land changed <> 0 then begin
-          elems.(s) <- element_cost t enc.en_slot_elems.(s);
-          Atomic.incr enc.en_elems_computed
-        end
-        else Atomic.incr enc.en_elems_copied;
-        total := !total +. elems.(s)
-      end
-    done;
-    { ie_enc = enc; ie_mask = mask; ie_total = !total; ie_elems = elems }
-  end
 
 let pp_ins_plan s ~target ~rel ppf plan =
   ignore target;

@@ -66,9 +66,18 @@ val cache_stats_json : cache -> Vis_util.Json.t
 
 type t
 
-(** [create ?cache derived config] binds the evaluator.  Without [cache] a
-    private one is created. *)
-val create : ?cache:cache -> Vis_catalog.Derived.t -> Config.t -> t
+(** A problem's candidate features numbered into bits (see
+    {!make_encoding}). *)
+type encoding
+
+(** [create ?cache ?encoding derived config] binds the evaluator.  Without
+    [cache] a private one is created.  With [encoding] and a configuration
+    inside its universe, memo keys are single-word masks (see
+    {!make_encoding}); otherwise they are structural signatures.  The two
+    key spaces are disjoint and induce the same cache-hit equivalence
+    classes, so the costs are identical either way. *)
+val create :
+  ?cache:cache -> ?encoding:encoding -> Vis_catalog.Derived.t -> Config.t -> t
 
 val config : t -> Config.t
 
@@ -161,37 +170,25 @@ val total : t -> float
     [total (create ?cache derived config)]. *)
 val total_of : ?cache:cache -> Vis_catalog.Derived.t -> Config.t -> float
 
-(** {1 Feature encoding and incremental evaluation}
+(** {1 Feature encoding}
 
-    A problem's candidate features (supporting views and indexes) can be
-    numbered once into bits [0..61]; a configuration drawn from that universe
-    is then a single [int] mask, subset and dominance tests are single-word
-    bit operations, and the memo-cache key of an element under a mask is the
-    mask intersected with the element's precomputed {e relevance mask} — no
-    allocation per restriction.  [Vis_core.Config_id] (which depends on
-    this library) wraps this per problem; the raw machinery lives here so
-    the evaluator and the catalog can share the numbering. *)
+    A problem's candidate features (supporting views, indexes and
+    compression candidates) can be numbered once into bits [0..61]; a
+    configuration drawn from that universe is then a single [int] mask, and
+    the memo-cache key of an element under a mask is the mask intersected
+    with the element's precomputed {e relevance mask} — no allocation per
+    restriction.  [Vis_core.Problem.evaluator] keys its evaluators this way
+    whenever the problem's universe fits. *)
 
 (** Raised by {!make_encoding} when the universe exceeds 62 features (the
-    paper's schemas stay far below; callers fall back to the structural
-    evaluator). *)
+    paper's schemas stay far below; callers fall back to structural
+    keys). *)
 exception Encoding_too_large of int
 
-type encoding
-
 (** [make_encoding derived features] numbers [features] — bit [i] is
-    [features.(i)] — and precomputes per-element relevance masks and the
-    incremental-evaluation slot table.  The encoding is immutable (counters
-    aside) and safely shared across domains. *)
+    [features.(i)] — and precomputes per-element relevance masks.  The
+    encoding is immutable and safely shared across domains. *)
 val make_encoding : Vis_catalog.Derived.t -> Config.feature array -> encoding
-
-val encoding_features : encoding -> Config.feature array
-
-(** The bit of a feature, or [None] if it is outside the universe. *)
-val feature_bit : encoding -> Config.feature -> int option
-
-(** The bit of the feature [F_view w]. *)
-val view_feature_bit : encoding -> Vis_util.Bitset.t -> int option
 
 (** [mask_of_config enc c] packs a symbolic configuration, or [None] when any
     of its features is outside the universe. *)
@@ -200,50 +197,6 @@ val mask_of_config : encoding -> Config.t -> int option
 (** [config_of_mask enc m] decodes a mask back to the canonical symbolic
     configuration ([mask_of_config] is its left inverse). *)
 val config_of_mask : encoding -> int -> Config.t
-
-(** [create_masked ?cache derived enc mask] is an evaluator over a packed
-    configuration: behaviourally identical to
-    [create ?cache derived (config_of_mask enc mask)] — same cached values,
-    same cache-hit equivalence classes — but its memo keys are single-word
-    masks and the symbolic configuration is decoded lazily. *)
-val create_masked : ?cache:cache -> Vis_catalog.Derived.t -> encoding -> int -> t
-
-(** The per-element costs of one masked configuration, reusable to cost
-    neighbouring masks incrementally. *)
-type ieval
-
-(** The configuration's total maintenance cost, bit-identical to {!total} of
-    the equivalent symbolic evaluator. *)
-val ieval_total : ieval -> float
-
-val ieval_mask : ieval -> int
-
-(** [eval_mask ?cache derived enc mask] costs a configuration from scratch
-    (every maintained element). *)
-val eval_mask : ?cache:cache -> Vis_catalog.Derived.t -> encoding -> int -> ieval
-
-(** [eval_delta ?cache derived parent mask] costs [mask] by reusing
-    [parent]'s per-element costs: only elements whose relevance mask meets
-    the changed bits are re-derived; with no changed bits [parent] itself is
-    returned.  The result is bitwise equal to [eval_mask] of the same
-    mask. *)
-val eval_delta : ?cache:cache -> Vis_catalog.Derived.t -> ieval -> int -> ieval
-
-(** Exact counters of the incremental evaluator's work, accumulated in the
-    encoding (atomically, so they are exact at any [--jobs]). *)
-type incr_stats = {
-  is_full : int;  (** configurations costed from scratch *)
-  is_delta : int;  (** configurations costed from a neighbour *)
-  is_reused : int;  (** zero-change evaluations answered by the parent *)
-  is_elems_computed : int;  (** per-element costs (re)derived *)
-  is_elems_copied : int;  (** per-element costs copied from the parent *)
-}
-
-val incr_stats : encoding -> incr_stats
-
-val reset_incr_stats : encoding -> unit
-
-val incr_stats_json : encoding -> Vis_util.Json.t
 
 (** {1 Rendering} *)
 

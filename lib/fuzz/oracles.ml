@@ -5,7 +5,6 @@ module Config = Vis_costmodel.Config
 module Cost = Vis_costmodel.Cost
 module Yao = Vis_costmodel.Yao
 module Problem = Vis_core.Problem
-module Config_id = Vis_core.Config_id
 module Astar = Vis_core.Astar
 module Exhaustive = Vis_core.Exhaustive
 module Greedy = Vis_core.Greedy
@@ -27,7 +26,7 @@ module Wal = Vis_storage.Wal
 module Scrub = Vis_storage.Scrub
 module Table = Vis_relalg.Table
 module Service = Vis_service.Service
-module Stream = Vis_service.Stream
+module Stream = Vis_workload.Stream
 
 type outcome = Pass | Skip of string | Fail of string
 
@@ -545,81 +544,71 @@ let check_maintenance_cycle cx schema =
       | other -> other)
 
 (* ------------------------------------------------------------------ *)
-(* Packed bitset evaluator vs the VISMAT_SLOW_COST structural path: every
-   delta-costed total is bitwise equal to a from-scratch structural
-   derivation, and A*/greedy pick identical optima with identical
-   counters. *)
+(* Mask-keyed memo cache vs structural costing.  A problem whose universe
+   fits the 62-bit encoding keys its shared memo cache by
+   [mask land relevance]; the reference is a fresh structural evaluator
+   ([Cost.total_of] with a private cache).  Along a random walk of feature
+   toggles every mask-keyed total must equal the reference bitwise, and a
+   structurally-keyed shared cache fed the same walk must see exactly the
+   same misses and entries: the two keyings promise the same cache-hit
+   equivalence classes, so a key that is too coarse (collisions, wrong
+   totals) or too fine (lost sharing) both show up here.  A*'s optimum is
+   then re-costed the same way. *)
 
 let fast_vs_slow ~compression cx schema =
-  let fast = Problem.make ~compression schema in
-  match Config_id.of_problem fast with
-  | None -> skip "packed encoding unavailable (>62 features or disabled)"
-  | Some cid ->
-  let slow = Problem.make ~compression ~slow_cost:true schema in
-  let n = Config_id.n_features cid in
-  (* Random walk of applicable feature toggles: each step is delta-costed
-     from its predecessor, then re-derived from scratch by the slow
-     evaluator on the decoded configuration.  Exact float equality — the
-     packed evaluator replicates the structural summation order. *)
-  let rec walk mask ie steps =
-    if steps = 0 then Pass
-    else
-      let b = Random.State.int cx.cx_rng n in
-      let mask' =
-        if Config_id.has_feature cid mask b then Config_id.drop cid mask b
-        else if Config_id.applicable cid mask b then Config_id.add cid mask b
-        else mask
-      in
-      if mask' = mask then walk mask ie (steps - 1)
-      else
-        let ie' = Config_id.eval_from cid ie mask' in
-        let fast_total = Cost.ieval_total ie' in
-        let config = Config_id.config_of_mask cid mask' in
-        let slow_total = Problem.total slow config in
-        if fast_total <> slow_total then
-          fail "delta-costed total %.17g differs from slow evaluator %.17g"
-            fast_total slow_total
-        else walk mask' ie' (steps - 1)
-  in
-  match walk 0 (Config_id.eval cid 0) 15 with
-  | (Fail _ | Skip _) as r -> r
-  | Pass -> (
-  match astar_capped cx fast with
-  | None -> skip "A* expansion budget exceeded (%d)" cx.cx_max_expanded
-  | Some af -> (
-  match astar_capped cx slow with
-  | None ->
-      Fail
-        "slow path exceeded the expansion budget the fast path finished under"
-  | Some as_ ->
-  if af.Astar.best_cost <> as_.Astar.best_cost then
-    fail "A* optimum differs: fast %.17g vs slow %.17g" af.Astar.best_cost
-      as_.Astar.best_cost
-  else if not (Config.equal af.Astar.best as_.Astar.best) then
-    Fail "A* configuration differs between fast and slow evaluators"
-  else if
-    af.Astar.stats.Astar.expanded <> as_.Astar.stats.Astar.expanded
-    || af.Astar.stats.Astar.generated <> as_.Astar.stats.Astar.generated
-  then
-    fail "A* counters differ: fast %d/%d vs slow %d/%d"
-      af.Astar.stats.Astar.expanded af.Astar.stats.Astar.generated
-      as_.Astar.stats.Astar.expanded as_.Astar.stats.Astar.generated
+  let p = Problem.make ~compression schema in
+  if p.Problem.encoding = None then
+    skip "feature encoding unavailable (>62 features)"
   else
-    let gf = Greedy.search fast and gs = Greedy.search slow in
-    if gf.Greedy.best_cost <> gs.Greedy.best_cost then
-      fail "greedy cost differs: fast %.17g vs slow %.17g" gf.Greedy.best_cost
-        gs.Greedy.best_cost
-    else if not (Config.equal gf.Greedy.best gs.Greedy.best) then
-      Fail "greedy configuration differs between fast and slow evaluators"
-    else Pass))
+    let derived = p.Problem.derived in
+    let features = Array.of_list p.Problem.features in
+    let structural = Cost.new_cache () in
+    let rec walk config steps =
+      if steps = 0 then Pass
+      else
+        let f = features.(Random.State.int cx.cx_rng (Array.length features)) in
+        let config' =
+          if Problem.has_feature config f then Problem.drop_feature config f
+          else if Problem.applicable p config f then Problem.add_feature config f
+          else config
+        in
+        let masked = Problem.total p config' in
+        let shared = Cost.total_of ~cache:structural derived config' in
+        let fresh = Cost.total_of derived config' in
+        if masked <> fresh || shared <> fresh then
+          fail "mask-keyed total %.17g / shared structural %.17g differ from \
+                fresh structural %.17g"
+            masked shared fresh
+        else walk config' (steps - 1)
+    in
+    match walk Config.empty 16 with
+    | (Fail _ | Skip _) as r -> r
+    | Pass -> (
+        let sm = Cost.cache_stats p.Problem.cache
+        and ss = Cost.cache_stats structural in
+        if sm.Cost.cs_misses <> ss.Cost.cs_misses
+           || sm.Cost.cs_entries <> ss.Cost.cs_entries
+        then
+          fail "mask-keyed cache saw %d misses / %d entries, structural %d / %d"
+            sm.Cost.cs_misses sm.Cost.cs_entries ss.Cost.cs_misses
+            ss.Cost.cs_entries
+        else
+          match astar_capped cx p with
+          | None -> skip "A* expansion budget exceeded (%d)" cx.cx_max_expanded
+          | Some a ->
+              let fresh = Cost.total_of derived a.Astar.best in
+              if a.Astar.best_cost <> fresh then
+                fail "A* optimum %.17g differs from fresh structural %.17g"
+                  a.Astar.best_cost fresh
+              else Pass)
 
 let check_fast_vs_slow cx schema = fast_vs_slow ~compression:false cx schema
 
 (* The same walk with the compression axis enabled: page-compression
-   features join the packed encoding, and every delta-costed total —
-   compression factors included — must stay bitwise equal to the slow
-   structural derivation.  A memo-key collision between a compressed and an
-   uncompressed configuration shows up here immediately. *)
+   features join the encoding, and every mask-keyed total — compression
+   factors included — must stay bitwise equal to the structural derivation.
+   A memo-key collision between a compressed and an uncompressed
+   configuration shows up here immediately. *)
 let check_fast_vs_slow_compression cx schema =
   fast_vs_slow ~compression:true cx schema
 
@@ -1296,7 +1285,7 @@ let all =
        inserting earlier would perturb every older oracle's stream. *)
     {
       o_name = "fast-vs-slow-cost";
-      o_doc = "packed delta-costing bitwise equal to the slow evaluator";
+      o_doc = "mask-keyed costs and cache sharing equal the structural keying";
       o_check = check_fast_vs_slow;
     };
     (* Appended last — see the note above. *)
@@ -1308,7 +1297,7 @@ let all =
     (* Appended last — see the note above. *)
     {
       o_name = "fast-vs-slow-compression";
-      o_doc = "delta-costing bitwise equal to slow evaluator with compression";
+      o_doc = "mask-keyed costing equals structural keying with compression";
       o_check = check_fast_vs_slow_compression;
     };
     (* Appended last — see the note above. *)

@@ -4,6 +4,7 @@ module Problem = Vis_core.Problem
 module Astar = Vis_core.Astar
 module Sensitivity = Vis_core.Sensitivity
 module Datagen = Vis_workload.Datagen
+module Stream = Vis_workload.Stream
 module Warehouse = Vis_maintenance.Warehouse
 module Refresh = Vis_maintenance.Refresh
 module Parallel = Vis_util.Parallel

@@ -13,11 +13,12 @@
     three phases:
 
     + {b Arrivals} (coordinator, sequential in tenant order): for every
-      tenant, draw the tick's batch count from {!Stream.arrivals} and the
-      batch contents from the tenant's private RNG with
-      {!Vis_workload.Datagen.deltas_evolving}, scaled by the tenant's
-      {!Stream.drift} profile.  The tenant's logical dataset mirror
-      advances with {!Vis_workload.Datagen.apply}.
+      tenant, draw the tick's batch count from
+      {!Vis_workload.Stream.arrivals} and the batch contents from the
+      tenant's private RNG with {!Vis_workload.Datagen.deltas_evolving},
+      scaled by the tenant's {!Vis_workload.Stream.drift} profile.  The
+      tenant's logical dataset mirror advances with
+      {!Vis_workload.Datagen.apply}.
     + {b Refresh} (parallel): every tenant with arrivals runs its batches
       as one {!Vis_maintenance.Refresh.run_protected_many} group-commit
       stream.  Tenants share {e no} storage state — each owns its pool,
@@ -149,15 +150,15 @@ val config : t -> config
     executable — raises {!Vis_workload.Datagen.Unsupported} otherwise) and
     returns its id.  The initial dataset realizes the schema's statistics
     from [seed] (default: the tenant id); [rate] (default 2.0) is the mean
-    batches per tick; [drift] (default {!Stream.Constant}) scales the
-    stream's delta volume over time; [faults] installs a per-tenant fault
-    plan for every refresh run; [config] overrides the initial design
+    batches per tick; [drift] (default {!Vis_workload.Stream.Constant})
+    scales the stream's delta volume over time; [faults] installs a
+    per-tenant fault plan for every refresh run; [config] overrides the initial design
     (default: a fresh budgeted A* design at the declared rates). *)
 val add_tenant :
   ?name:string ->
   ?seed:int ->
   ?rate:float ->
-  ?drift:Stream.drift ->
+  ?drift:Vis_workload.Stream.drift ->
   ?faults:Vis_storage.Faults.t ->
   ?config:Vis_costmodel.Config.t ->
   t ->

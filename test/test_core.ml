@@ -193,6 +193,43 @@ let prop_astar_optimal_random =
         Vis_util.Num.approx_equal ~eps:1e-9 ex.Exhaustive.best_cost a.Astar.best_cost
       end)
 
+(* Table 2 of the benchmark, pinned: the A* optimum (bit-exact), expanded
+   and generated states, and cost evaluations of each schema, identical at
+   jobs 1 and 4.  The values are the [table2] block of BENCH_vis.json; any
+   change to the search, the heuristic or the cost model that moves them
+   must re-record that file too. *)
+let test_astar_table2_pinned () =
+  let module Schemas = Vis_workload.Schemas in
+  let cases =
+    [
+      ("2 rel, 1 sel", Schemas.two_relation (), 0x1.c000000000000p+9, 9, 10, 19);
+      ( "2 rel, sel 50%", Schemas.two_relation ~sel_s:0.5 (),
+        0x1.6f80000000000p+10, 6, 7, 12 );
+      ( "3 rel (S1) no del", Schemas.schema1 ~del_frac:0. (),
+        0x1.10bdd946fdd94p+11, 358, 359, 695 );
+      ("3 rel Schema 1", schema1 (), 0x1.11beeca37eecap+12, 439, 440, 759);
+      ( "3 rel Schema 2", Schemas.schema2 (),
+        0x1.f637651bf7652p+10, 420, 421, 737 );
+      ( "4 rel chain", Schemas.chain ~n:4 (),
+        0x1.3a00000000000p+14, 20267, 20268, 37382 );
+    ]
+  in
+  List.iter
+    (fun (name, schema, cost, expanded, generated, evaluations) ->
+      List.iter
+        (fun jobs ->
+          let a = Astar.search ~jobs (Problem.make schema) in
+          let label what = Printf.sprintf "%s jobs=%d %s" name jobs what in
+          checkb (label "optimal cost bitwise") true
+            (Int64.equal (Int64.bits_of_float cost)
+               (Int64.bits_of_float a.Astar.best_cost));
+          checki (label "expanded") expanded a.Astar.stats.Astar.expanded;
+          checki (label "generated") generated a.Astar.stats.Astar.generated;
+          checki (label "cost evaluations") evaluations
+            (Vis_core.Search_stats.evaluated a.Astar.search_stats))
+        [ 1; 4 ])
+    cases
+
 let test_astar_budget () =
   let p = Problem.make (schema1 ()) in
   match Astar.search ~max_expanded:3 p with
@@ -307,12 +344,12 @@ let test_space_sweep () =
 let test_astar_anytime () =
   let p = Problem.make (schema1 ()) in
   (* Unlimited budget: proven optimal. *)
-  let r, optimal = Astar.search_anytime p in
-  checkb "proven optimal" true optimal;
+  let r, cert = Astar.search_budgeted p in
+  checkb "proven optimal" true (cert = Astar.Optimal);
   checkf "same optimum" (Astar.search p).Astar.best_cost r.Astar.best_cost;
   (* Tiny budget: returns the greedy-or-better incumbent without raising. *)
-  let r2, optimal2 = Astar.search_anytime ~max_expanded:2 p in
-  checkb "not proven" false optimal2;
+  let r2, cert2 = Astar.search_budgeted ~max_expanded:2 p in
+  checkb "not proven" false (cert2 = Astar.Optimal);
   let greedy_cost = (Greedy.search p).Greedy.best_cost in
   checkb "incumbent at least as good as greedy" true
     (r2.Astar.best_cost <= greedy_cost +. 1e-9);
@@ -537,6 +574,8 @@ let () =
           Alcotest.test_case "fixed schemas" `Slow test_astar_matches_exhaustive_fixed;
           Alcotest.test_case "schema1 golden" `Quick test_astar_schema1;
           Alcotest.test_case "budget" `Quick test_astar_budget;
+          Alcotest.test_case "table 2 pinned at jobs 1 and 4" `Slow
+            test_astar_table2_pinned;
         ]
         @ qt [ prop_astar_optimal_random ] );
       ( "heuristics and studies",

@@ -497,6 +497,11 @@ let test_cli_validation () =
   let fuzz = bin "visfuzz.exe" in
   exits_2 "visadvisor --jobs 0" (advisor ^ " optimize --jobs 0");
   exits_2 "visadvisor --minsup out of range" (advisor ^ " optimize --minsup 1.5");
+  exits_2 "visadvisor --beam 0" (advisor ^ " optimize --beam 0");
+  exits_2 "visadvisor --beam negative" (advisor ^ " optimize --beam=-1");
+  exits_2 "visadvisor --cap-views 0" (advisor ^ " optimize --cap-views 0");
+  exits_2 "visadvisor --cap-views negative" (advisor ^ " optimize --cap-views=-2");
+  exits_2 "visadvisor --budget negative" (advisor ^ " optimize --budget=-5");
   exits_2 "visadvisor validate --damage 0" (advisor ^ " validate --scrub --damage 0");
   exits_2 "visserve --ticks 0" (serve ^ " --ticks 0");
   exits_2 "visserve --tenants 0" (serve ^ " --tenants 0");

@@ -1,6 +1,7 @@
-(* Tests for vis_costmodel: the yao/Y_WAP estimators, elements, configurations
-   and the Appendix-A cost engine (golden values on Schema 1 plus structural
-   properties like monotonicity in the configuration). *)
+(* Tests for vis_costmodel: the yao/Y_WAP estimators, elements, configurations,
+   the Appendix-A cost engine (golden values on Schema 1 plus structural
+   properties like monotonicity in the configuration), and the feature
+   encoding that keys a problem's shared memo cache. *)
 
 module Bitset = Vis_util.Bitset
 module Schema = Vis_catalog.Schema
@@ -308,6 +309,192 @@ let prop_shared_cache_consistent =
       let again = Vis_core.Problem.total p config in
       Vis_util.Num.approx_equal fresh shared && shared = again)
 
+(* ------------------------------------------------------------------ *)
+(* The feature encoding: a problem of at most 62 features numbers them into
+   bits and keys its memo cache by [mask land relevance].  Masks must
+   mirror the symbolic configurations exactly, and mask-keyed totals must
+   equal a fresh structural derivation bitwise. *)
+
+module Problem = Vis_core.Problem
+module Schemas = Vis_workload.Schemas
+
+let checki = Alcotest.(check int)
+
+let encoding_exn p =
+  match p.Problem.encoding with
+  | Some enc -> enc
+  | None -> Alcotest.fail "expected a feature encoding"
+
+let mask_exn enc config =
+  match Cost.mask_of_config enc config with
+  | Some m -> m
+  | None -> Alcotest.fail "configuration outside the universe"
+
+(* A valid configuration reached by random feature toggles — the states
+   the searches visit. *)
+let random_walk rng p =
+  let features = Array.of_list p.Problem.features in
+  let config = ref Config.empty in
+  for _ = 0 to Array.length features do
+    let f = features.(Random.State.int rng (Array.length features)) in
+    if Problem.has_feature !config f then
+      config := Problem.drop_feature !config f
+    else if Problem.applicable p !config f then
+      config := Problem.add_feature !config f
+  done;
+  !config
+
+let encoded_schemas () =
+  [ Schemas.two_relation (); Schemas.schema1 (); Schemas.schema2 () ]
+
+let test_feature_bit_round_trip () =
+  List.iter
+    (fun schema ->
+      let p = Problem.make schema in
+      let enc = encoding_exn p in
+      (* Bit [i] is the [i]-th feature of the problem, in order. *)
+      List.iteri
+        (fun i f ->
+          checki "feature -> bit" (1 lsl i)
+            (mask_exn enc (Problem.add_feature Config.empty f));
+          checkb "bit -> feature" true
+            (Config.equal
+               (Problem.add_feature Config.empty f)
+               (Cost.config_of_mask enc (1 lsl i))))
+        p.Problem.features)
+    (encoded_schemas ())
+
+let test_mask_config_round_trip () =
+  let rng = Random.State.make [| 42 |] in
+  List.iter
+    (fun schema ->
+      let p = Problem.make schema in
+      let enc = encoding_exn p in
+      let n = List.length p.Problem.features in
+      (* Arbitrary masks: decode then re-encode is the identity. *)
+      for _ = 1 to 200 do
+        let mask = Random.State.int rng (1 lsl n) in
+        checkb "mask -> config -> mask" true
+          (Cost.mask_of_config enc (Cost.config_of_mask enc mask) = Some mask)
+      done;
+      (* Walked configurations: encode then decode is the identity. *)
+      for _ = 1 to 50 do
+        let config = random_walk rng p in
+        checkb "config -> mask -> config" true
+          (Config.equal config (Cost.config_of_mask enc (mask_exn enc config)))
+      done;
+      (* A configuration outside the universe has no mask. *)
+      let foreign = Config.add_view Config.empty (Bitset.of_int 0x155555) in
+      checkb "foreign view unmappable" true
+        (Cost.mask_of_config enc foreign = None))
+    [ Schemas.two_relation (); Schemas.schema1 () ]
+
+(* Set-based containment: every view and index of [a] appears in [b]. *)
+let config_subset a b =
+  List.for_all (fun v -> Config.has_view b v) (Config.views a)
+  && List.for_all
+       (fun (ix : Element.index) ->
+         Config.has_index b ix.Element.ix_elem ix.Element.ix_attr)
+       (Config.indexes a)
+
+let test_subset_law () =
+  let rng = Random.State.make [| 7 |] in
+  List.iter
+    (fun schema ->
+      let p = Problem.make schema in
+      let enc = encoding_exn p in
+      for _ = 1 to 300 do
+        let ca = random_walk rng p and cb = random_walk rng p in
+        let ma = mask_exn enc ca and mb = mask_exn enc cb in
+        checkb "mask subset = set containment" (config_subset ca cb)
+          (ma land lnot mb = 0)
+      done)
+    (encoded_schemas ())
+
+let test_has_feature_has_view () =
+  let rng = Random.State.make [| 11 |] in
+  let p = Problem.make (schema1 ()) in
+  let enc = encoding_exn p in
+  for _ = 1 to 100 do
+    let config = random_walk rng p in
+    let mask = mask_exn enc config in
+    List.iteri
+      (fun i f ->
+        checkb "has_feature = mask bit"
+          (mask land (1 lsl i) <> 0)
+          (Problem.has_feature config f))
+      p.Problem.features
+  done
+
+let test_applicable_and_drop_closure () =
+  let rng = Random.State.make [| 13 |] in
+  List.iter
+    (fun schema ->
+      let p = Problem.make schema in
+      for _ = 1 to 100 do
+        let config = random_walk rng p in
+        List.iter
+          (fun f ->
+            if Problem.applicable p config f then begin
+              let added = Problem.add_feature config f in
+              checkb "add stays valid" true (Problem.valid_config p added);
+              checkb "add contains parent" true (config_subset config added)
+            end;
+            (* Dropping a feature also drops its closure (a view takes its
+               indexes with it), and the result is still valid. *)
+            if Problem.has_feature config f then begin
+              let dropped = Problem.drop_feature config f in
+              checkb "drop stays valid" true (Problem.valid_config p dropped);
+              checkb "drop is below parent" true (config_subset dropped config);
+              match f with
+              | Problem.F_view w ->
+                  checkb "dropped view gone" false (Config.has_view dropped w);
+                  checkb "no orphan indexes" true
+                    (Config.indexes_on dropped (Element.View w) = [])
+              | Problem.F_index _ | Problem.F_compress _ -> ()
+            end)
+          p.Problem.features
+      done)
+    [ Schemas.two_relation (); Schemas.schema1 () ]
+
+let test_too_large_fallback () =
+  let p = Problem.make (Schemas.chain ~n:7 ()) in
+  checkb ">62 features really" true (List.length p.Problem.features > 62);
+  checkb "no encoding past 62 features" true (Option.is_none p.Problem.encoding);
+  (* The raw constructor reports the size in the exception. *)
+  (match
+     Cost.make_encoding p.Problem.derived (Array.of_list p.Problem.features)
+   with
+  | exception Cost.Encoding_too_large n ->
+      checki "exception carries the count" (List.length p.Problem.features) n
+  | _ -> Alcotest.fail "make_encoding accepted > 62 features");
+  let g = Vis_core.Greedy.search p in
+  checkb "structural greedy works" true
+    (Problem.valid_config p g.Vis_core.Greedy.best)
+
+let test_no_sharing_disables_encoding () =
+  let schema = Schemas.two_relation () in
+  checkb "no-sharing ablation disables encoding" true
+    (Option.is_none (Problem.make ~share_cache:false schema).Problem.encoding);
+  checkb "default has encoding" true
+    (Option.is_some (Problem.make schema).Problem.encoding)
+
+let test_masked_vs_structural_totals () =
+  let rng = Random.State.make [| 17 |] in
+  List.iter
+    (fun schema ->
+      let p = Problem.make schema in
+      ignore (encoding_exn p);
+      let total config = Problem.total p config in
+      checkb "empty total agrees" true
+        (total Config.empty = Cost.total_of p.Problem.derived Config.empty);
+      for _ = 1 to 60 do
+        let config = random_walk rng p in
+        checkb "masked = fresh structural (bitwise)" true
+          (total config = Cost.total_of p.Problem.derived config)
+      done)
+    [ Schemas.two_relation (); Schemas.schema1 (); Schemas.chain ~n:4 () ]
+
 let () =
   let qt = List.map QCheck_alcotest.to_alcotest in
   Alcotest.run "vis_costmodel"
@@ -342,4 +529,31 @@ let () =
               prop_total_nonnegative;
               prop_shared_cache_consistent;
             ] );
+      ( "round trips",
+        [
+          Alcotest.test_case "feature <-> bit" `Quick
+            test_feature_bit_round_trip;
+          Alcotest.test_case "mask <-> config" `Quick
+            test_mask_config_round_trip;
+        ] );
+      ( "bit laws",
+        [
+          Alcotest.test_case "subset vs set containment" `Quick
+            test_subset_law;
+          Alcotest.test_case "has_feature / has_view" `Quick
+            test_has_feature_has_view;
+          Alcotest.test_case "applicable / drop closure" `Quick
+            test_applicable_and_drop_closure;
+        ] );
+      ( "fallbacks",
+        [
+          Alcotest.test_case "> 62 features" `Quick test_too_large_fallback;
+          Alcotest.test_case "escape hatches" `Quick
+            test_no_sharing_disables_encoding;
+        ] );
+      ( "evaluator agreement",
+        [
+          Alcotest.test_case "fast = slow, bitwise" `Quick
+            test_masked_vs_structural_totals;
+        ] );
     ]

@@ -1,6 +1,6 @@
 (* Pins the shapes of the generated star/snowflake workloads: relation
    counts, candidate-feature counts under the production candidate caps,
-   and whether the packed 62-bit encoding survives.  These numbers are
+   and whether the 62-bit feature encoding survives.  These numbers are
    load-bearing — the parallel-scaling study, the CI smoke and the sharded
    search tests all assume them — so a generator change that shifts them
    must show up here first.  Also checks that the generated schemas are
@@ -21,7 +21,7 @@ let shape name schema ~rels ~features ~packed =
   let p = Problem.make ~connected_only:true ~max_view_rels:2 schema in
   checki (name ^ ": features under cap 2") features
     (List.length p.Problem.features);
-  checkb (name ^ ": packed encoding") packed (p.Problem.encoding <> None)
+  checkb (name ^ ": feature encoding") packed (p.Problem.encoding <> None)
 
 let test_star_shapes () =
   (* star ~n_dims:k is a fact table plus k dimensions *)
@@ -36,7 +36,7 @@ let test_snowflake_shapes () =
   shape "snowflake-7"
     (Schemas.snowflake ~arms:3 ~depth:2 ())
     ~rels:7 ~features:44 ~packed:true;
-  (* 62 features — exactly at the packed-encoding capacity *)
+  (* 62 features — exactly at the encoding's capacity *)
   shape "snowflake-9"
     (Schemas.snowflake ~arms:4 ~depth:2 ())
     ~rels:9 ~features:62 ~packed:true

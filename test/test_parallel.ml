@@ -235,15 +235,15 @@ let test_sharded_star_identity () =
         (lower_bound <= r4.Astar.best_cost);
       checkb "star-8: gap sane" true (gap >= 0. && gap <= 1.)
 
-(* Same identity on a snowflake that keeps the packed 62-bit encoding, so
-   the packed sharded successor path is covered too. *)
+(* Same identity on a snowflake that keeps the 62-bit feature encoding, so
+   the sharded search over the mask-keyed memo cache is covered too. *)
 let test_sharded_snowflake_identity () =
   let mk () =
     let p =
       Problem.make ~connected_only:true ~max_view_rels:2
         (Schemas.snowflake ~arms:3 ~depth:2 ())
     in
-    checkb "snowflake stays packed" true (p.Problem.encoding <> None);
+    checkb "snowflake keeps its encoding" true (p.Problem.encoding <> None);
     p
   in
   ignore (same_budgeted "snowflake-7" ~mk ~budget:1_200 ~beam:48)

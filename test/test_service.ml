@@ -13,7 +13,7 @@ module Datagen = Vis_workload.Datagen
 module Faults = Vis_storage.Faults
 module Parallel = Vis_util.Parallel
 module Service = Vis_service.Service
-module Stream = Vis_service.Stream
+module Stream = Vis_workload.Stream
 module Monitor = Vis_service.Monitor
 
 let checkb = Alcotest.(check bool)
