@@ -1,7 +1,6 @@
 (* Reproduction harness: regenerates every experimental table and figure of
    "Physical Database Design for Data Warehouses" (Labio, Quass & Adelberg,
-   ICDE 1997), plus the extensions documented in DESIGN.md, and finishes
-   with Bechamel timing benches of the optimizer itself.
+   ICDE 1997), plus the extensions documented in DESIGN.md.
 
      dune exec bench/main.exe            -- everything
      dune exec bench/main.exe -- quick   -- skip the full exhaustive pass
@@ -28,17 +27,20 @@ let section name =
   Printf.printf "\n================ %s ================\n%!" name
 
 (* Machine-readable mirror of the run, written to BENCH_vis.json at the end
-   so successive PRs accumulate a perf trajectory (state counts, cache hit
-   rates, bechamel timings) that can be diffed mechanically. *)
+   so successive runs accumulate a trajectory (state counts, cache hit
+   rates, exact I/O and sync counts) that can be diffed mechanically. *)
 module Json = Vis_util.Json
 
 let bench_json : (string * Json.t) list ref = ref []
 
-let record key v = bench_json := !bench_json @ [ (key, v) ]
+(* A study's report is one JSON value: printed as tables here, and kept
+   under [key] for BENCH_vis.json. *)
+let record key v =
+  print_string (T.of_json ~title:key v);
+  print_newline ();
+  bench_json := !bench_json @ [ (key, v) ]
 
 let describe schema config = Config.describe schema config
-
-let pct x = Printf.sprintf "%.2f%%" (100. *. x)
 
 (* The relation sets of Schema 1, by name. *)
 let set_st = Bitset.of_list [ 1; 2 ]
@@ -71,55 +73,44 @@ let table2_cases () =
 
 let table2 () =
   section "[Table 2] A* vs exhaustive search";
-  let tbl =
-    T.create
-      [ "schema"; "features"; "exhaustive states"; "A* expanded"; "pruned"; "optimal cost" ]
-  in
-  let rows = ref [] in
-  List.iter
-    (fun (name, schema) ->
-      let p = Problem.make schema in
-      let a = Astar.search p in
-      let ex_states = a.Astar.stats.Astar.exhaustive_states in
-      let exhaustive_checked =
-        if ex_states <= 700_000. && not quick then begin
-          let ex = Exhaustive.search ~max_states:1_000_000 p in
-          assert (
-            Vis_util.Num.approx_equal ~eps:1e-9 ex.Exhaustive.best_cost
-              a.Astar.best_cost);
-          "="
-        end
-        else "~"
-      in
-      T.add_row tbl
-        [
-          name;
-          string_of_int (List.length p.Problem.features);
-          T.fmt_compact ex_states ^ exhaustive_checked;
-          string_of_int a.Astar.stats.Astar.expanded;
-          pct (1. -. (float_of_int a.Astar.stats.Astar.expanded /. ex_states));
-          T.fmt_compact a.Astar.best_cost;
-        ];
-      rows :=
+  let rows =
+    List.map
+      (fun (name, schema) ->
+        let p = Problem.make schema in
+        let a = Astar.search p in
+        let ex_states = a.Astar.stats.Astar.exhaustive_states in
+        let expanded = a.Astar.stats.Astar.expanded in
+        (* null when exhaustive was skipped (quick mode / too large):
+           "not checked" is not the same as "disagreed" *)
+        let agreed =
+          if ex_states <= 700_000. && not quick then begin
+            let ex = Exhaustive.search ~max_states:1_000_000 p in
+            assert (
+              Vis_util.Num.approx_equal ~eps:1e-9 ex.Exhaustive.best_cost
+                a.Astar.best_cost);
+            Json.Bool true
+          end
+          else Json.Null
+        in
         Json.Obj
           [
             ("schema", Json.String name);
             ("features", Json.Int (List.length p.Problem.features));
             ("exhaustive_states", Json.Float ex_states);
+            ("expanded", Json.Int expanded);
+            ( "pruned_frac",
+              Json.Float (1. -. (float_of_int expanded /. ex_states)) );
             ("optimal_cost", Json.Float a.Astar.best_cost);
-            (* null when exhaustive was skipped (quick mode / too large):
-               "not checked" is not the same as "disagreed" *)
-            ( "exhaustive_agreed",
-              if exhaustive_checked = "=" then Json.Bool true else Json.Null );
+            ("exhaustive_agreed", agreed);
             ("search", Vis_core.Search_stats.to_json a.Astar.search_stats);
             ("cache", Cost.cache_stats_json p.Problem.cache);
-          ]
-        :: !rows)
-    (table2_cases ());
-  T.print tbl;
-  record "table2" (Json.List (List.rev !rows));
+          ])
+      (table2_cases ())
+  in
+  record "table2" (Json.List rows);
   print_endline
-    "(= : exhaustive was run and agreed with A*;  ~ : space size computed analytically)"
+    "(exhaustive_agreed: true = exhaustive was run and agreed with A*;\n\
+    \ - = the space size was computed analytically)"
 
 (* ------------------------------------------------------------------ *)
 (* One full enumeration of Schema 1 feeds Figure 4 (per-view-set cost
@@ -563,59 +554,42 @@ let extra5 () =
 
 let cache_study () =
   section "[Extra 6] Cost-cache effectiveness (shared memoization)";
-  let tbl =
-    T.create
-      [ "schema"; "hits"; "misses"; "hit rate"; "work cut"; "same optimum" ]
-  in
-  let entries = ref [] in
-  List.iter
-    (fun (name, required_factor, schema) ->
-      let p = Problem.make schema in
-      let shared = Astar.search p in
-      let s = Cost.cache_stats p.Problem.cache in
-      let lookups = s.Cost.cs_hits + s.Cost.cs_misses in
-      let factor =
-        float_of_int lookups /. float_of_int (max 1 s.Cost.cs_misses)
-      in
-      let p_private = Problem.make ~share_cache:false schema in
-      let private_ = Astar.search p_private in
-      let same =
-        Vis_util.Num.approx_equal ~eps:1e-9 shared.Astar.best_cost
-          private_.Astar.best_cost
-        && Config.equal shared.Astar.best private_.Astar.best
-      in
-      assert same;
-      assert (factor >= required_factor);
-      T.add_row tbl
-        [
-          name;
-          string_of_int s.Cost.cs_hits;
-          string_of_int s.Cost.cs_misses;
-          pct (Cost.hit_rate s);
-          Printf.sprintf "%.1fx" factor;
-          (if same then "yes" else "NO");
-        ];
-      entries :=
+  let rows =
+    List.map
+      (fun (name, required_factor, schema) ->
+        let p = Problem.make schema in
+        let shared = Astar.search p in
+        let s = Cost.cache_stats p.Problem.cache in
+        let lookups = s.Cost.cs_hits + s.Cost.cs_misses in
+        let factor =
+          float_of_int lookups /. float_of_int (max 1 s.Cost.cs_misses)
+        in
+        let p_private = Problem.make ~share_cache:false schema in
+        let private_ = Astar.search p_private in
+        let same =
+          Vis_util.Num.approx_equal ~eps:1e-9 shared.Astar.best_cost
+            private_.Astar.best_cost
+          && Config.equal shared.Astar.best private_.Astar.best
+        in
+        assert same;
+        assert (factor >= required_factor);
         Json.Obj
-          [
-            ("schema", Json.String name);
-            ("hits", Json.Int s.Cost.cs_hits);
-            ("misses", Json.Int s.Cost.cs_misses);
-            ("hit_rate", Json.Float (Cost.hit_rate s));
-            ("work_reduction_factor", Json.Float factor);
-            ("identical_optimum", Json.Bool same);
-          ]
-        :: !entries)
-    [
-      ("Schema 1 (retail)", 2., Schemas.schema1 ());
-      ("Schema 2", 2., Schemas.schema2 ());
-      ("2 relations", 1., Schemas.two_relation ());
-      ("4-relation chain", 2., Schemas.chain ~n:4 ());
-    ];
-  T.print tbl;
-  record "cache_effectiveness" (Json.List (List.rev !entries));
+          ((("schema", Json.String name)
+           :: Json.fields (Cost.cache_stats_json p.Problem.cache))
+          @ [
+              ("work_reduction_factor", Json.Float factor);
+              ("identical_optimum", Json.Bool same);
+            ]))
+      [
+        ("Schema 1 (retail)", 2., Schemas.schema1 ());
+        ("Schema 2", 2., Schemas.schema2 ());
+        ("2 relations", 1., Schemas.two_relation ());
+        ("4-relation chain", 2., Schemas.chain ~n:4 ());
+      ]
+  in
+  record "cache_effectiveness" (Json.List rows);
   print_endline
-    "Shared memoization cuts cost-model derivations by the \"work cut\" factor\n\
+    "Shared memoization cuts cost-model derivations by work_reduction_factor\n\
      (lookups / misses) at an unchanged optimal design — the caching is\n\
      semantically invisible."
 
@@ -658,13 +632,6 @@ let parallel_scaling () =
       ]
   in
   let entries = ref [] in
-  let tbl =
-    T.create [ "run"; "rel"; "jobs"; "seconds"; "wall speedup"; "identical" ]
-  in
-  let modeled_tbl =
-    T.create
-      [ "run"; "rel"; "rounds"; "work units"; "@2"; "@4"; "@8" ]
-  in
   let time_run f =
     let t0 = Unix.gettimeofday () in
     let r = f () in
@@ -690,15 +657,6 @@ let parallel_scaling () =
         in
         assert identical;
         let speedup = !base_seconds /. dt in
-        T.add_row tbl
-          [
-            name;
-            string_of_int relations;
-            string_of_int jobs;
-            Printf.sprintf "%.3f" dt;
-            Printf.sprintf "%.2fx" speedup;
-            (if identical then "yes" else "NO");
-          ];
         rows :=
           Json.Obj
             [
@@ -714,16 +672,6 @@ let parallel_scaling () =
       Option.value ~default:1. (Vis_core.Search_stats.modeled_speedup s ~jobs:k)
     in
     let m2 = modeled 2 and m4 = modeled 4 and m8 = modeled 8 in
-    T.add_row modeled_tbl
-      [
-        name;
-        string_of_int relations;
-        string_of_int (Vis_core.Search_stats.round_count s);
-        string_of_int (Vis_core.Search_stats.round_work s);
-        Printf.sprintf "%.2fx" m2;
-        Printf.sprintf "%.2fx" m4;
-        Printf.sprintf "%.2fx" m8;
-      ];
     (match floor4 with
     | Some f when m4 < f ->
         failwith
@@ -812,9 +760,6 @@ let parallel_scaling () =
           Problem.make ~connected_only:true ~max_view_rels:2
             (Schemas.snowflake ~arms:3 ~depth:2 ()) );
     ];
-  T.print tbl;
-  print_endline "modeled scaling (deterministic, from recorded round work):";
-  T.print modeled_tbl;
   record "parallel_scaling"
     (Json.Obj
        [
@@ -838,9 +783,6 @@ let parallel_scaling () =
 let incremental_costing () =
   section "[Extra 9] Cost evaluations per A* search";
   let module Search_stats = Vis_core.Search_stats in
-  let tbl =
-    T.create [ "schema"; "jobs"; "expanded"; "cost evals"; "states/sec" ]
-  in
   let rows = ref [] in
   List.iter
     (fun (name, schema) ->
@@ -860,14 +802,6 @@ let incremental_costing () =
           | None -> at_jobs1 := Some counts
           | Some c1 -> assert (c1 = counts));
           let states_per_sec = float_of_int evals /. Float.max dt 1e-9 in
-          T.add_row tbl
-            [
-              name;
-              string_of_int jobs;
-              string_of_int a.Astar.stats.Astar.expanded;
-              string_of_int evals;
-              T.fmt_compact states_per_sec;
-            ];
           rows :=
             Json.Obj
               [
@@ -882,10 +816,9 @@ let incremental_costing () =
             :: !rows)
         [ 1; 4 ])
     (table2_cases ());
-  T.print tbl;
   record "incremental_costing" (Json.List (List.rev !rows));
   print_endline
-    "\"cost evals\": states costed by the search (Search_stats.evaluated);\n\
+    "cost_evaluations: states costed by the search (Search_stats.evaluated);\n\
      jobs=4 returned the same optimum and counters as jobs=1."
 
 (* ------------------------------------------------------------------ *)
@@ -915,10 +848,6 @@ let extra10 () =
   let base_io = Refresh.total_io r0 in
   let reference = Warehouse.signature w0 in
   let logical_reference = Warehouse.logical_signature w0 in
-  let tbl =
-    T.create
-      [ "scenario"; "I/O"; "attempts"; "rollbacks"; "undone"; "wal rec"; "outcome" ]
-  in
   let rows = ref [] in
   let overhead = ref 0. in
   let scenario name plan =
@@ -948,16 +877,6 @@ let extra10 () =
          sync forcing, so the log pages are the only overhead left. *)
       assert (!overhead <= 0.05)
     end;
-    T.add_row tbl
-      [
-        name;
-        string_of_int io;
-        string_of_int stats.Refresh.fs_attempts;
-        string_of_int stats.Refresh.fs_rollbacks;
-        string_of_int stats.Refresh.fs_undone;
-        string_of_int stats.Refresh.fs_wal_records;
-        outcome;
-      ];
     rows :=
       Json.Obj
         [
@@ -977,8 +896,6 @@ let extra10 () =
         ]
       :: !rows
   in
-  T.add_row tbl
-    [ "unprotected"; string_of_int base_io; "1"; "0"; "0"; "0"; "reference" ];
   scenario "WAL, no faults" None;
   scenario "transient write fault"
     (Some
@@ -996,16 +913,6 @@ let extra10 () =
     (Some
        (Faults.make
           [ Faults.Fail_prob { op = Some Faults.Write; p = 1.0; kind = Faults.Permanent } ]));
-  T.print tbl;
-  Printf.printf
-    "WAL overhead on the fault-free refresh: %d -> %d page I/Os (%s).\n"
-    base_io
-    (base_io + int_of_float (Float.round (!overhead *. float_of_int base_io)))
-    (pct !overhead);
-  print_endline
-    "Every scenario ends in a provable state: bit-identical to the fault-free\n\
-     refresh, logically identical with recomputed views (degraded), or the\n\
-     exact pre-batch state (all attempts rolled back).";
   record "fault_recovery"
     (Json.Obj
        [
@@ -1015,7 +922,11 @@ let extra10 () =
          ("wal_overhead_frac", Json.Float !overhead);
          ("wal_overhead_limit", Json.Float 0.05);
          ("scenarios", Json.List (List.rev !rows));
-       ])
+       ]);
+  print_endline
+    "Every scenario ends in a provable state: bit-identical to the fault-free\n\
+     refresh, logically identical with recomputed views (degraded), or the\n\
+     exact pre-batch state (all attempts rolled back)."
 
 (* ------------------------------------------------------------------ *)
 (* [Extra 11] Storage engine raw speed: group-commit WAL (durability
@@ -1064,55 +975,36 @@ let extra11 () =
     | Error _ -> failwith "fault-free protected refresh failed"
   in
   let overhead = float_of_int (prot_io - base_io) /. float_of_int base_io in
-  Printf.printf "fault-free WAL overhead: %d -> %d page I/Os (%s, budget 5%%)\n"
-    base_io prot_io (pct overhead);
   assert (overhead <= 0.05);
   (* The group-commit trade: barriers against commit latency, on the same
      deterministic stream. *)
-  let tbl =
-    T.create
-      [ "group"; "syncs"; "wal writes"; "wal bytes"; "mean latency"; "I/O" ]
-  in
-  let rows = ref [] in
   let syncs_at = Hashtbl.create 4 in
-  List.iter
-    (fun max_group ->
-      let w, b = world () in
-      let batches = split_batch n_batches b in
-      let policy = { Refresh.gp_max_group = max_group; gp_window_ms = 1e9 } in
-      match Refresh.run_protected_many ~policy w batches with
-      | Error _ -> failwith "fault-free group stream failed"
-      | Ok (r, _, g) ->
-          let wal_bytes = Wal.total_bytes w.Warehouse.w_wal in
-          let mean_latency =
-            g.Refresh.gr_latency_ms_total /. float_of_int g.Refresh.gr_batches
-          in
-          Hashtbl.replace syncs_at max_group r.Refresh.rp_wal_syncs;
-          T.add_row tbl
-            [
-              string_of_int max_group;
-              string_of_int r.Refresh.rp_wal_syncs;
-              string_of_int r.Refresh.rp_wal_writes;
-              string_of_int wal_bytes;
-              Printf.sprintf "%.1f ms" mean_latency;
-              string_of_int (Refresh.total_io r);
-            ];
-          rows :=
+  let rows =
+    List.map
+      (fun max_group ->
+        let w, b = world () in
+        let batches = split_batch n_batches b in
+        let policy = { Refresh.gp_max_group = max_group; gp_window_ms = 1e9 } in
+        match Refresh.run_protected_many ~policy w batches with
+        | Error _ -> failwith "fault-free group stream failed"
+        | Ok (r, _, g) ->
+            let wal_bytes = Wal.total_bytes w.Warehouse.w_wal in
+            let mean_latency =
+              g.Refresh.gr_latency_ms_total /. float_of_int g.Refresh.gr_batches
+            in
+            Hashtbl.replace syncs_at max_group r.Refresh.rp_wal_syncs;
             Json.Obj
-              [
-                ("max_group", Json.Int max_group);
-                ("batches", Json.Int g.Refresh.gr_batches);
-                ("wal_syncs", Json.Int r.Refresh.rp_wal_syncs);
-                ("wal_writes", Json.Int r.Refresh.rp_wal_writes);
-                ("wal_bytes", Json.Int wal_bytes);
-                ("group_syncs", Json.Int g.Refresh.gr_group_syncs);
-                ("largest_group", Json.Int g.Refresh.gr_max_group);
-                ("mean_batch_latency_ms", Json.Float mean_latency);
-                ("io", Json.Int (Refresh.total_io r));
-              ]
-            :: !rows)
-    [ 1; 4 ];
-  T.print tbl;
+              ([
+                 ("max_group", Json.Int max_group);
+                 ("batches", Json.Int g.Refresh.gr_batches);
+                 ("wal_bytes", Json.Int wal_bytes);
+                 ("group_syncs", Json.Int g.Refresh.gr_group_syncs);
+                 ("largest_group", Json.Int g.Refresh.gr_max_group);
+                 ("mean_batch_latency_ms", Json.Float mean_latency);
+               ]
+              @ Json.fields (Refresh.report_json r)))
+      [ 1; 4 ]
+  in
   (* Grouping must strictly reduce the durability barriers. *)
   assert (Hashtbl.find syncs_at 4 < Hashtbl.find syncs_at 1);
   (* Page-level compression: same logical warehouse, about half the durable
@@ -1129,10 +1021,6 @@ let extra11 () =
   and comp_pages = Warehouse.total_data_pages w_comp in
   let ratio = float_of_int comp_pages /. float_of_int plain_pages in
   let comp_io = Refresh.total_io (Refresh.run w_comp bc) in
-  Printf.printf
-    "compressed durable footprint: %d -> %d data pages (ratio %.2f); \
-     refresh I/O %d -> %d\n"
-    plain_pages comp_pages ratio base_io comp_io;
   assert (ratio >= 0.4 && ratio <= 0.6);
   record "storage_engine"
     (Json.Obj
@@ -1142,7 +1030,7 @@ let extra11 () =
          ("unprotected_io", Json.Int base_io);
          ("wal_overhead_frac", Json.Float overhead);
          ("wal_overhead_limit", Json.Float 0.05);
-         ("group_commit", Json.List (List.rev !rows));
+         ("group_commit", Json.List rows);
          ("data_pages_uncompressed", Json.Int plain_pages);
          ("data_pages_compressed", Json.Int comp_pages);
          ("compression_ratio", Json.Float ratio);
@@ -1150,7 +1038,7 @@ let extra11 () =
        ]);
   print_endline
     "Group commit covers many deferred commits with one durability barrier;\n\
-     the latency column is what it trades away.  Compression halves the\n\
+     mean_batch_latency_ms is what it trades away.  Compression halves the\n\
      durable pages (model ratio 0.5) while the refresh stays exact."
 
 (* [Extra 14] End-to-end corruption handling: what detection costs when
@@ -1190,9 +1078,6 @@ let corruption_study () =
   let w1, b1 = world ~checksums:true () in
   let chk_io = Refresh.total_io (Refresh.run w1 b1) in
   let overhead = float_of_int (chk_io - base_io) /. float_of_int base_io in
-  Printf.printf
-    "fault-free checksum overhead: %d -> %d page I/Os (%s, budget 5%%)\n"
-    base_io chk_io (pct overhead);
   assert (overhead >= 0. && overhead <= 0.05);
   (* One scrub pass over the clean warehouse: pure detection cost. *)
   Warehouse.reset_stats w1;
@@ -1200,8 +1085,6 @@ let corruption_study () =
   let scrub_io = Iostats.total_io w1.Warehouse.w_stats in
   let scrub_verifs = Iostats.checksum_verifications w1.Warehouse.w_stats in
   assert (clean.Warehouse.sc_corrupt = 0);
-  Printf.printf "clean scrub: %d pages probed, %d verifications, %d page I/Os\n"
-    clean.Warehouse.sc_scanned scrub_verifs scrub_io;
   (* Seeded at-rest damage on rebuildable pages (view heaps and all index
      nodes — base heaps have no redundant source and would refuse), then
      one self-healing scrub. *)
@@ -1233,11 +1116,6 @@ let corruption_study () =
   Warehouse.reset_stats w1;
   let repair = Warehouse.scrub ~fail_unrecoverable:false w1 in
   let repair_io = Iostats.total_io w1.Warehouse.w_stats in
-  Printf.printf
-    "repair scrub: injected %d, convicted %d, views rebuilt %d, indexes \
-     rebuilt %d, %d page I/Os\n"
-    injected repair.Warehouse.sc_corrupt repair.Warehouse.sc_views_rebuilt
-    repair.Warehouse.sc_indexes_rebuilt repair_io;
   (* The scrub must convict exactly the injected damage and repair all of
      it — nothing was unrecoverable by construction. *)
   assert (repair.Warehouse.sc_corrupt = injected);
@@ -1311,49 +1189,11 @@ let extra12 () =
   let wall_s = Unix.gettimeofday () -. t0 in
   let t = Service.totals svc in
   let deltas_per_sec = float_of_int t.Service.tt_rows /. wall_s in
-  let tbl =
-    T.create
-      [ "tenant"; "batches"; "rows"; "syncs"; "checks"; "gated"; "reopts";
-        "swaps"; "p99 latency" ]
-  in
   let tenant_rows =
     List.map
-      (fun id ->
-        let s = Service.stats svc id in
-        let p99 = Service.percentile ~p:0.99 s.Service.ts_latencies_ms in
-        T.add_row tbl
-          [
-            s.Service.ts_name;
-            string_of_int s.Service.ts_batches;
-            string_of_int s.Service.ts_rows;
-            string_of_int s.Service.ts_group_syncs;
-            string_of_int s.Service.ts_checks;
-            string_of_int s.Service.ts_gated;
-            string_of_int s.Service.ts_reopts;
-            string_of_int s.Service.ts_swaps;
-            Printf.sprintf "%.1f ms" p99;
-          ];
-        Json.Obj
-          [
-            ("tenant", Json.String s.Service.ts_name);
-            ("batches", Json.Int s.Service.ts_batches);
-            ("rows", Json.Int s.Service.ts_rows);
-            ("group_syncs", Json.Int s.Service.ts_group_syncs);
-            ("checks", Json.Int s.Service.ts_checks);
-            ("gated", Json.Int s.Service.ts_gated);
-            ("reopts", Json.Int s.Service.ts_reopts);
-            ("swaps", Json.Int s.Service.ts_swaps);
-            ("p99_latency_ms", Json.Float p99);
-          ])
+      (fun id -> Service.tenant_stats_json (Service.stats svc id))
       (Service.tenant_ids svc)
   in
-  T.print tbl;
-  Printf.printf
-    "%d tenants, %d ticks: %d batches / %d delta rows in %.2fs wall \
-     (%.0f deltas/sec); %d re-optimizations, %d swaps, p99 batch latency \
-     %.1f ms\n"
-    tenants ticks t.Service.tt_batches t.Service.tt_rows wall_s deltas_per_sec
-    t.Service.tt_reopts t.Service.tt_swaps t.Service.tt_p99_latency_ms;
   (* The scenario is built to exercise the loop: the stepped tenant must
      re-optimize, nothing may fail, and every batch must commit. *)
   assert (t.Service.tt_failed = 0);
@@ -1403,76 +1243,55 @@ let mined_candidates () =
   let module Querygen = Vis_workload.Querygen in
   let module Miner = Vis_workload.Miner in
   let module Search_stats = Vis_core.Search_stats in
-  let tbl =
-    T.create
-      [ "case"; "features"; "mined"; "views"; "mined"; "evals"; "mined";
-        "reduction"; "wall"; "cost ratio" ]
-  in
-  let reduction_rows = ref [] in
-  List.iter
-    (fun (name, n_dims, must_reduce) ->
-      let schema = Schemas.star ~n_dims () in
-      let log = Querygen.generate ~seed:42 ~n:400 ~zipf:2.0 schema in
-      let m = Miner.mine ~minsup:0.1 schema log in
-      let run ?candidates jobs =
-        let p =
-          Problem.make ~connected_only:true ~max_view_rels:2 ?candidates
-            schema
+  let reduction_rows =
+    List.map
+      (fun (name, n_dims, must_reduce) ->
+        let schema = Schemas.star ~n_dims () in
+        let log = Querygen.generate ~seed:42 ~n:400 ~zipf:2.0 schema in
+        let m = Miner.mine ~minsup:0.1 schema log in
+        let run ?candidates jobs =
+          let p =
+            Problem.make ~connected_only:true ~max_view_rels:2 ?candidates
+              schema
+          in
+          let t0 = Unix.gettimeofday () in
+          let r, _cert = Astar.search_budgeted ~max_expanded:20_000 ~beam:64 ~jobs p in
+          let dt = Unix.gettimeofday () -. t0 in
+          (p, r, Search_stats.evaluated r.Astar.search_stats, dt)
         in
-        let t0 = Unix.gettimeofday () in
-        let r, _cert = Astar.search_budgeted ~max_expanded:20_000 ~beam:64 ~jobs p in
-        let dt = Unix.gettimeofday () -. t0 in
-        (p, r, Search_stats.evaluated r.Astar.search_stats, dt)
-      in
-      let p_full, r_full, e_full, dt_full = run 1 in
-      let p_mined, r_mined, e_mined, dt_mined =
-        run ~candidates:m.Miner.m_candidates 1
-      in
-      (* Determinism of the mined-space search across pool widths. *)
-      let _, r4, e4, _ = run ~candidates:m.Miner.m_candidates 4 in
-      assert (Config.equal r_mined.Astar.best r4.Astar.best);
-      assert (r_mined.Astar.best_cost = r4.Astar.best_cost);
-      assert (r_mined.Astar.stats.Astar.expanded = r4.Astar.stats.Astar.expanded);
-      assert (e_mined = e4);
-      let reduction = float_of_int e_full /. float_of_int (max 1 e_mined) in
-      if must_reduce then assert (reduction >= 5.);
-      let cost_ratio = r_mined.Astar.best_cost /. r_full.Astar.best_cost in
-      T.add_row tbl
-        [
-          name;
-          string_of_int (List.length p_full.Problem.features);
-          string_of_int (List.length p_mined.Problem.features);
-          string_of_int (List.length p_full.Problem.candidate_views);
-          string_of_int (List.length p_mined.Problem.candidate_views);
-          string_of_int e_full;
-          string_of_int e_mined;
-          Printf.sprintf "%.1fx" reduction;
-          Printf.sprintf "%.1fx" (dt_full /. Float.max dt_mined 1e-9);
-          Printf.sprintf "%.3f" cost_ratio;
-        ];
-      reduction_rows :=
+        let p_full, r_full, e_full, dt_full = run 1 in
+        let p_mined, r_mined, e_mined, dt_mined =
+          run ~candidates:m.Miner.m_candidates 1
+        in
+        (* Determinism of the mined-space search across pool widths. *)
+        let _, r4, e4, _ = run ~candidates:m.Miner.m_candidates 4 in
+        assert (Config.equal r_mined.Astar.best r4.Astar.best);
+        assert (r_mined.Astar.best_cost = r4.Astar.best_cost);
+        assert (r_mined.Astar.stats.Astar.expanded = r4.Astar.stats.Astar.expanded);
+        assert (e_mined = e4);
+        let reduction = float_of_int e_full /. float_of_int (max 1 e_mined) in
+        if must_reduce then assert (reduction >= 5.);
+        let cost_ratio = r_mined.Astar.best_cost /. r_full.Astar.best_cost in
         Json.Obj
-          [
-            ("case", Json.String name);
-            ("minsup", Json.Float 0.1);
-            ("zipf", Json.Float 2.0);
-            ("log_queries", Json.Int 400);
-            ("features_full", Json.Int (List.length p_full.Problem.features));
-            ("features_mined", Json.Int (List.length p_mined.Problem.features));
-            ("views_full", Json.Int (List.length p_full.Problem.candidate_views));
-            ("views_mined", Json.Int (List.length p_mined.Problem.candidate_views));
-            ("cost_evaluations_full", Json.Int e_full);
-            ("cost_evaluations_mined", Json.Int e_mined);
-            ("reduction_factor", Json.Float reduction);
-            ("wall_s_full", Json.Float dt_full);
-            ("wall_s_mined", Json.Float dt_mined);
-            ("budgeted_cost_ratio", Json.Float cost_ratio);
-          ]
-        :: !reduction_rows)
-    [ ("star-8", 7, false); ("star-10", 9, true); ("star-12", 11, true) ];
-  T.print tbl;
+        [
+          ("case", Json.String name);
+          ("minsup", Json.Float 0.1);
+          ("zipf", Json.Float 2.0);
+          ("log_queries", Json.Int 400);
+          ("features_full", Json.Int (List.length p_full.Problem.features));
+          ("features_mined", Json.Int (List.length p_mined.Problem.features));
+          ("views_full", Json.Int (List.length p_full.Problem.candidate_views));
+          ("views_mined", Json.Int (List.length p_mined.Problem.candidate_views));
+          ("cost_evaluations_full", Json.Int e_full);
+          ("cost_evaluations_mined", Json.Int e_mined);
+          ("reduction_factor", Json.Float reduction);
+          ("wall_s_full", Json.Float dt_full);
+          ("wall_s_mined", Json.Float dt_mined);
+          ("budgeted_cost_ratio", Json.Float cost_ratio);
+        ])
+      [ ("star-8", 7, false); ("star-10", 9, true); ("star-12", 11, true) ]
+  in
   (* Exact optimality loss where the unbudgeted A* is tractable. *)
-  let loss_tbl = T.create [ "schema"; "minsup"; "mined cost"; "loss" ] in
   let loss_rows = ref [] in
   List.iter
     (fun (name, schema) ->
@@ -1493,15 +1312,6 @@ let mined_candidates () =
             assert (r.Astar.best_cost = full.Astar.best_cost)
           end;
           assert (loss >= -1e-9);
-          loss_tbl
-          |> fun t ->
-          T.add_row t
-            [
-              name;
-              Printf.sprintf "%.1f" minsup;
-              Printf.sprintf "%.1f" r.Astar.best_cost;
-              pct loss;
-            ];
           loss_rows :=
             Json.Obj
               [
@@ -1517,89 +1327,22 @@ let mined_candidates () =
       ("3 rel Schema 1", Schemas.schema1 ());
       ("4 rel chain", Schemas.chain ~n:4 ());
     ];
-  T.print loss_tbl;
   record "mined_candidates"
     (Json.Obj
        [
-         ("reduction", Json.List (List.rev !reduction_rows));
+         ("reduction", Json.List reduction_rows);
          ("optimality_loss", Json.List (List.rev !loss_rows));
        ]);
   print_endline
     "Reduction compares identical budgeted searches (20,000 expansions,\n\
      beam 64): the mined search drains its workload-proportional space and\n\
-     stops, the unpruned search is still budget-bound.  \"evals\" counts\n\
-     states costed (Search_stats.evaluated) — exact and identical at any\n\
-     jobs; the mined optimum was re-run at jobs=4 and matched bit for bit.\n\
+     stops, the unpruned search is still budget-bound.  cost_evaluations_*\n\
+     count states costed (Search_stats.evaluated) — exact and identical at\n\
+     any jobs; the mined optimum was re-run at jobs=4 and matched bit for bit.\n\
      Loss is the exact penalty vs. the unpruned optimum on schemas where\n\
      the unbudgeted A* is tractable; minsup=0 reproduces the unpruned\n\
      problem bit-identically (asserted).  The mined-side counters and\n\
      reductions gate the CI perf smoke."
-
-(* ------------------------------------------------------------------ *)
-(* Bechamel micro-benchmarks of the optimizer components. *)
-
-let bechamel_benches () =
-  section "[Timings] Bechamel micro-benchmarks of the optimizer";
-  let open Bechamel in
-  let schema = Schemas.schema1 () in
-  let derived = Derived.create schema in
-  let p = Problem.make schema in
-  let config = (Astar.search p).Astar.best in
-  let two_rel = Schemas.two_relation () in
-  let tests =
-    Test.make_grouped ~name:"vis" ~fmt:"%s/%s"
-      [
-        Test.make ~name:"total cost (fresh cache)"
-          (Staged.stage (fun () -> ignore (Cost.total_of derived config)));
-        Test.make ~name:"A* on Schema 1"
-          (Staged.stage (fun () -> ignore (Astar.search (Problem.make schema))));
-        Test.make ~name:"A* on 2 relations"
-          (Staged.stage (fun () ->
-               ignore (Astar.search (Problem.make two_rel))));
-        Test.make ~name:"rules advisor on Schema 1"
-          (Staged.stage (fun () ->
-               ignore (Vis_core.Rules.advise (Problem.make schema))));
-        Test.make ~name:"exhaustive on 2 relations"
-          (Staged.stage (fun () ->
-               ignore (Exhaustive.search (Problem.make two_rel))));
-      ]
-  in
-  let instances = Toolkit.Instance.[ monotonic_clock ] in
-  let cfg =
-    Benchmark.cfg ~limit:500 ~quota:(Time.second 1.0) ~kde:(Some 500) ()
-  in
-  let raw = Benchmark.all cfg instances tests in
-  let ols =
-    Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Measure.run |]
-  in
-  let results =
-    List.map (fun instance -> Analyze.all ols instance raw) instances
-  in
-  let merged = Analyze.merge ols instances results in
-  let tbl = T.create [ "operation"; "time per run" ] in
-  let timings = ref [] in
-  Hashtbl.iter
-    (fun _clock per_test ->
-      Hashtbl.iter
-        (fun name ols_result ->
-          let estimate = Analyze.OLS.estimates ols_result in
-          let pretty =
-            match estimate with
-            | Some [ ns ] when ns < 1e3 -> Printf.sprintf "%.0f ns" ns
-            | Some [ ns ] when ns < 1e6 -> Printf.sprintf "%.1f us" (ns /. 1e3)
-            | Some [ ns ] when ns < 1e9 -> Printf.sprintf "%.2f ms" (ns /. 1e6)
-            | Some [ ns ] -> Printf.sprintf "%.2f s" (ns /. 1e9)
-            | Some _ | None -> "n/a"
-          in
-          (match estimate with
-          | Some [ ns ] -> timings := (name, Json.Float ns) :: !timings
-          | Some _ | None -> ());
-          T.add_row tbl [ name; pretty ])
-        per_test)
-    merged;
-  T.print tbl;
-  record "timings_ns"
-    (Json.Obj (List.sort (fun (a, _) (b, _) -> compare a b) !timings))
 
 let () =
   figure5 ();
@@ -1628,7 +1371,6 @@ let () =
   extra12 ();
   mined_candidates ();
   corruption_study ();
-  bechamel_benches ();
   let oc = open_out "BENCH_vis.json" in
   output_string oc
     (Json.to_string ~indent:2

@@ -210,21 +210,12 @@ let report_config schema config cost =
   Printf.printf "total maintenance cost: %.1f page I/Os\n" cost;
   Printf.printf "%s\n" (Config.describe schema config)
 
-let print_cache_stats cache =
-  let s = Cost.cache_stats cache in
-  let tbl = T.create [ "cost cache"; "value" ] in
-  T.add_row tbl [ "hits"; string_of_int s.Cost.cs_hits ];
-  T.add_row tbl [ "misses (= derivations)"; string_of_int s.Cost.cs_misses ];
-  T.add_row tbl [ "evictions"; string_of_int s.Cost.cs_evictions ];
-  T.add_row tbl [ "entries"; string_of_int s.Cost.cs_entries ];
-  T.add_row tbl
-    [ "hit rate"; Printf.sprintf "%.2f%%" (100. *. Cost.hit_rate s) ];
-  T.print tbl
-
 (* One observability document shared by every search subcommand: what ran,
-   what it chose, what it cost, and what the search and the cost cache did. *)
-let emit_json ~schema_name ~algorithm ~schema ~p ~config ~cost ~search_stats
-    ~extra =
+   what it chose, what it cost, and what the search and the cost cache did.
+   [--json] prints it whole; otherwise [headline] runs and [--stats] and
+   [--trace] print the members they name as tables. *)
+let emit ~json ~stats ~trace ~headline ~schema_name ~algorithm ~schema ~p
+    ~config ~cost ~search_stats ~extra =
   let report = Vis_core.Explain.explain p config in
   let doc =
     Json.Obj
@@ -240,20 +231,16 @@ let emit_json ~schema_name ~algorithm ~schema ~p ~config ~cost ~search_stats
        ]
       @ extra)
   in
-  print_endline (Json.to_string ~indent:2 doc)
-
-let emit_human ~stats ~trace ~schema ~p ~config ~search_stats () =
-  if stats then begin
-    print_newline ();
-    print_string (Search_stats.render search_stats);
-    print_newline ();
-    print_cache_stats p.Problem.cache
-  end;
-  if trace then begin
-    print_newline ();
-    print_string (Vis_core.Explain.render (Vis_core.Explain.explain p config))
-  end;
-  ignore schema
+  if json then print_endline (Json.to_string ~indent:2 doc)
+  else begin
+    headline ();
+    let section key =
+      print_newline ();
+      print_string (T.of_json ~title:key (Json.member key doc))
+    in
+    if stats then List.iter section [ "search"; "cache" ];
+    if trace then section "explain"
+  end
 
 let certificate_json = function
   | Vis_core.Astar.Optimal -> Json.Obj [ ("optimal", Json.Bool true) ]
@@ -350,32 +337,10 @@ let run_optimize file builtin stats trace json jobs cap_views connected_only
               ] );
         ]
   in
-  if json then
-    emit_json ~schema_name:(schema_name file builtin) ~algorithm:"astar"
-      ~schema ~p ~config:r.Vis_core.Astar.best ~cost:r.Vis_core.Astar.best_cost
-      ~search_stats:sstats
-      ~extra:
-        (("exhaustive_states", Json.Float ex_states)
-        :: (mining_json
-           @
-           match certificate with
-           | Some c -> [ ("certificate", certificate_json c) ]
-           | None -> []))
-  else begin
-    (match mining with
-    | None -> ()
-    | Some (m, p_full) ->
-        let st = m.Vis_workload.Miner.m_stats in
-        Printf.printf
-          "mined %d queries at support >= %d: %d/%d frequent attributes, %d \
-           closed itemsets; candidates %d -> %d views, %d -> %d features\n"
-          st.Vis_workload.Miner.mn_queries st.Vis_workload.Miner.mn_threshold
-          st.Vis_workload.Miner.mn_frequent_attrs
-          st.Vis_workload.Miner.mn_universe st.Vis_workload.Miner.mn_itemsets
-          (List.length p_full.Problem.candidate_views)
-          (List.length p.Problem.candidate_views)
-          (List.length p_full.Problem.features)
-          (List.length p.Problem.features));
+  let headline () =
+    List.iter
+      (fun (key, v) -> print_string (T.of_json ~title:key v); print_newline ())
+      mining_json;
     Printf.printf
       "A* expanded %d states (exhaustive space: %.0f, pruning %.2f%%)\n"
       r.Vis_core.Astar.stats.Vis_core.Astar.expanded ex_states
@@ -384,10 +349,18 @@ let run_optimize file builtin stats trace json jobs cap_views connected_only
          -. float_of_int r.Vis_core.Astar.stats.Vis_core.Astar.expanded
             /. Float.max 1. ex_states));
     report_config schema r.Vis_core.Astar.best r.Vis_core.Astar.best_cost;
-    Option.iter print_certificate certificate;
-    emit_human ~stats ~trace ~schema ~p ~config:r.Vis_core.Astar.best
-      ~search_stats:sstats ()
-  end
+    Option.iter print_certificate certificate
+  in
+  emit ~json ~stats ~trace ~headline ~schema_name:(schema_name file builtin)
+    ~algorithm:"astar" ~schema ~p ~config:r.Vis_core.Astar.best
+    ~cost:r.Vis_core.Astar.best_cost ~search_stats:sstats
+    ~extra:
+      (("exhaustive_states", Json.Float ex_states)
+      :: (mining_json
+         @
+         match certificate with
+         | Some c -> [ ("certificate", certificate_json c) ]
+         | None -> []))
 
 let optimize_term =
   Term.(
@@ -407,18 +380,15 @@ let exhaustive_cmd =
     let p = Problem.make schema in
     let r = Vis_core.Exhaustive.search ?jobs p in
     let sstats = r.Vis_core.Exhaustive.search_stats in
-    if json then
-      emit_json ~schema_name:(schema_name file builtin) ~algorithm:"exhaustive"
-        ~schema ~p ~config:r.Vis_core.Exhaustive.best
-        ~cost:r.Vis_core.Exhaustive.best_cost ~search_stats:sstats ~extra:[]
-    else begin
+    let headline () =
       Printf.printf "exhaustive enumerated %d states\n"
         r.Vis_core.Exhaustive.states;
       report_config schema r.Vis_core.Exhaustive.best
-        r.Vis_core.Exhaustive.best_cost;
-      emit_human ~stats ~trace ~schema ~p ~config:r.Vis_core.Exhaustive.best
-        ~search_stats:sstats ()
-    end
+        r.Vis_core.Exhaustive.best_cost
+    in
+    emit ~json ~stats ~trace ~headline ~schema_name:(schema_name file builtin)
+      ~algorithm:"exhaustive" ~schema ~p ~config:r.Vis_core.Exhaustive.best
+      ~cost:r.Vis_core.Exhaustive.best_cost ~search_stats:sstats ~extra:[]
   in
   Cmd.v
     (Cmd.info "exhaustive" ~doc:"Exhaustive baseline (small schemas only)")
@@ -433,11 +403,7 @@ let greedy_cmd =
     let p = Problem.make schema in
     let r = Vis_core.Greedy.search ?jobs p in
     let sstats = r.Vis_core.Greedy.search_stats in
-    if json then
-      emit_json ~schema_name:(schema_name file builtin) ~algorithm:"greedy"
-        ~schema ~p ~config:r.Vis_core.Greedy.best
-        ~cost:r.Vis_core.Greedy.best_cost ~search_stats:sstats ~extra:[]
-    else begin
+    let headline () =
       Printf.printf "greedy evaluated %d configurations\n"
         r.Vis_core.Greedy.evaluations;
       List.iter
@@ -446,10 +412,11 @@ let greedy_cmd =
             (Problem.feature_name p s.Vis_core.Greedy.s_feature)
             s.Vis_core.Greedy.s_cost_after)
         r.Vis_core.Greedy.steps;
-      report_config schema r.Vis_core.Greedy.best r.Vis_core.Greedy.best_cost;
-      emit_human ~stats ~trace ~schema ~p ~config:r.Vis_core.Greedy.best
-        ~search_stats:sstats ()
-    end
+      report_config schema r.Vis_core.Greedy.best r.Vis_core.Greedy.best_cost
+    in
+    emit ~json ~stats ~trace ~headline ~schema_name:(schema_name file builtin)
+      ~algorithm:"greedy" ~schema ~p ~config:r.Vis_core.Greedy.best
+      ~cost:r.Vis_core.Greedy.best_cost ~search_stats:sstats ~extra:[]
   in
   Cmd.v
     (Cmd.info "greedy" ~doc:"Greedy heuristic")
@@ -490,13 +457,12 @@ let explain_cmd =
       | "none" -> Config.empty
       | other -> Printf.ksprintf failwith "unknown algorithm %s" other
     in
-    if json then
-      print_endline
-        (Json.to_string ~indent:2
-           (Vis_core.Explain.report_json (Vis_core.Explain.explain p config)))
+    let doc =
+      Vis_core.Explain.report_json (Vis_core.Explain.explain p config)
+    in
+    if json then print_endline (Json.to_string ~indent:2 doc)
     else begin
-      print_string
-        (Vis_core.Explain.render (Vis_core.Explain.explain p config));
+      print_string (T.of_json doc);
       print_newline ();
       print_string
         (Vis_core.Explain.compare_designs p
@@ -569,40 +535,28 @@ let validate_cmd =
     let best = r.Vis_core.Astar.best in
     let report, checks = Vis_maintenance.Validate.run_cycle ~seed schema best in
     let module R = Vis_maintenance.Refresh in
+    let module V = Vis_maintenance.Validate in
+    let refresh = R.report_json report in
+    let views =
+      Json.List
+        (List.map
+           (fun c ->
+             Json.Obj
+               [
+                 ("view", Json.String c.V.vc_view);
+                 ("expected", Json.Int c.V.vc_expected);
+                 ("stored", Json.Int c.V.vc_actual);
+                 ("ok", Json.Bool c.V.vc_ok);
+               ])
+           checks)
+    in
     if json then
       print_endline
         (Json.to_string ~indent:2
            (Json.Obj
-              [
-                ("config", Json.String (Config.describe schema best));
-                ("predicted_io", Json.Float report.R.rp_predicted);
-                ("measured_io", Json.Int (R.total_io report));
-                ("reads", Json.Int report.R.rp_reads);
-                ("writes", Json.Int report.R.rp_writes);
-                ("accesses", Json.Int report.R.rp_accesses);
-                ("wal_writes", Json.Int report.R.rp_wal_writes);
-                ("wal_syncs", Json.Int report.R.rp_wal_syncs);
-                ( "pool",
-                  Json.Obj
-                    [
-                      ("hits", Json.Int report.R.rp_pool_hits);
-                      ("misses", Json.Int report.R.rp_pool_misses);
-                      ("evictions", Json.Int report.R.rp_pool_evictions);
-                      ("overflows", Json.Int report.R.rp_pool_overflows);
-                    ] );
-                ( "views",
-                  Json.List
-                    (List.map
-                       (fun c ->
-                         Json.Obj
-                           [
-                             ("view", Json.String c.Vis_maintenance.Validate.vc_view);
-                             ("expected", Json.Int c.Vis_maintenance.Validate.vc_expected);
-                             ("stored", Json.Int c.Vis_maintenance.Validate.vc_actual);
-                             ("ok", Json.Bool c.Vis_maintenance.Validate.vc_ok);
-                           ])
-                       checks) );
-              ]))
+              ((("config", Json.String (Config.describe schema best))
+               :: Json.fields refresh)
+              @ [ ("views", views) ])))
     else begin
       Printf.printf "config: %s\n" (Config.describe schema best);
       Printf.printf "predicted I/O: %.0f, measured: %d (reads %d, writes %d)\n"
@@ -610,24 +564,10 @@ let validate_cmd =
         (R.total_io report)
         report.R.rp_reads report.R.rp_writes;
       if stats then begin
-        let accesses = report.R.rp_pool_hits + report.R.rp_pool_misses in
-        Printf.printf
-          "pool: hits %d, misses %d (hit rate %.1f%%), evictions %d, \
-           overflows %d\n"
-          report.R.rp_pool_hits report.R.rp_pool_misses
-          (if accesses = 0 then 0.
-           else 100. *. float_of_int report.R.rp_pool_hits /. float_of_int accesses)
-          report.R.rp_pool_evictions report.R.rp_pool_overflows;
-        Printf.printf "wal: %d page writes, %d syncs\n" report.R.rp_wal_writes
-          report.R.rp_wal_syncs
+        print_string (T.of_json ~title:"refresh" refresh);
+        print_newline ()
       end;
-      List.iter
-        (fun c ->
-          Printf.printf "view %-8s expected %6d stored %6d %s\n"
-            c.Vis_maintenance.Validate.vc_view c.Vis_maintenance.Validate.vc_expected
-            c.Vis_maintenance.Validate.vc_actual
-            (if c.Vis_maintenance.Validate.vc_ok then "OK" else "MISMATCH"))
-        checks
+      print_string (T.of_json ~title:"views" views)
     end;
     let ok = ref (Vis_maintenance.Validate.all_ok checks) in
     if faults > 0 then begin

@@ -40,11 +40,6 @@ let outcome_tag = function
   | Oracles.Skip _ -> "skip"
   | Oracles.Fail _ -> "FAIL"
 
-let outcome_detail = function
-  | Oracles.Pass -> ""
-  | Oracles.Skip reason -> ": " ^ reason
-  | Oracles.Fail msg -> ": " ^ msg
-
 (* ------------------------------------------------------------------ *)
 (* Arguments. *)
 
@@ -175,39 +170,38 @@ let replay config path json =
     List.exists (fun (_, o) -> match o with Oracles.Fail _ -> true | _ -> false)
       outcomes
   in
-  if json then
-    print_endline
-      (Json.to_string ~indent:2
-         (Json.Obj
-            [
-              ("replay", Json.String path);
-              ("seed", Json.Int repro.Repro.r_seed);
-              ("trial", Json.Int repro.Repro.r_trial);
-              ("recorded_failure", Json.String repro.Repro.r_failure);
-              ( "outcomes",
-                Json.List
-                  (List.map
-                     (fun (name, o) ->
-                       Json.Obj
-                         [
-                           ("oracle", Json.String name);
-                           ("outcome", Json.String (outcome_tag o));
-                           ( "detail",
-                             Json.String
-                               (match o with
-                               | Oracles.Pass -> ""
-                               | Oracles.Skip r | Oracles.Fail r -> r) );
-                         ])
-                     outcomes) );
-            ]))
+  let doc =
+    Json.Obj
+      [
+        ("replay", Json.String path);
+        ("seed", Json.Int repro.Repro.r_seed);
+        ("trial", Json.Int repro.Repro.r_trial);
+        ("recorded_failure", Json.String repro.Repro.r_failure);
+        ( "outcomes",
+          Json.List
+            (List.map
+               (fun (name, o) ->
+                 Json.Obj
+                   [
+                     ("oracle", Json.String name);
+                     ("outcome", Json.String (outcome_tag o));
+                     ( "detail",
+                       Json.String
+                         (match o with
+                         | Oracles.Pass -> ""
+                         | Oracles.Skip r | Oracles.Fail r -> r) );
+                   ])
+               outcomes) );
+      ]
+  in
+  if json then print_endline (Json.to_string ~indent:2 doc)
   else begin
     Printf.printf "replaying %s (seed %d, trial %d)\n" path repro.Repro.r_seed
       repro.Repro.r_trial;
     Printf.printf "recorded failure: %s\n" repro.Repro.r_failure;
-    List.iter
-      (fun (name, o) ->
-        Printf.printf "%-22s %s%s\n" name (outcome_tag o) (outcome_detail o))
-      outcomes
+    print_string
+      (Vis_util.Tableprint.of_json ~title:"outcomes"
+         (Json.member "outcomes" doc))
   end;
   if failed then exit 1
 
@@ -236,6 +230,9 @@ let fuzz seed trials budget oracles stats json out max_states io_band
   if jobs < 1 then die "--jobs must be >= 1 (got %d)" jobs;
   if faults < 0 then die "--faults must be >= 0 (got %d)" faults;
   if max_failures < 1 then die "--max-failures must be >= 1 (got %d)" max_failures;
+  (match budget with
+  | Some b when b <= 0. -> die "--time-budget must be > 0 (got %g)" b
+  | Some _ | None -> ());
   let config =
     {
       Runner.cf_seed = seed;
@@ -256,21 +253,22 @@ let fuzz seed trials budget oracles stats json out max_states io_band
   | Some path -> replay config path json
   | None ->
       let report = Runner.run config in
-      if json then
-        print_endline (Json.to_string ~indent:2 (Runner.report_json report))
+      let doc = Runner.report_json report in
+      if json then print_endline (Json.to_string ~indent:2 doc)
       else begin
-        if stats then print_string (Runner.render report)
-        else begin
-          Printf.printf "seed %d: %d trials in %.1fs, %d failures\n"
-            config.Runner.cf_seed report.Runner.rp_trials_run
-            report.Runner.rp_elapsed
-            (List.length report.Runner.rp_failures);
-          List.iter
-            (fun (f : Runner.failure) ->
-              Printf.printf "FAIL trial %d oracle %s: %s\n" f.Runner.f_trial
-                f.Runner.f_oracle f.Runner.f_message)
-            report.Runner.rp_failures
-        end
+        Printf.printf "seed %d: %d trials in %.1fs, %d failures\n"
+          config.Runner.cf_seed report.Runner.rp_trials_run
+          report.Runner.rp_elapsed
+          (List.length report.Runner.rp_failures);
+        List.iter
+          (fun (f : Runner.failure) ->
+            Printf.printf "FAIL trial %d oracle %s: %s\n" f.Runner.f_trial
+              f.Runner.f_oracle f.Runner.f_message)
+          report.Runner.rp_failures;
+        if stats then
+          print_string
+            (Vis_util.Tableprint.of_json ~title:"oracles"
+               (Json.member "oracles" doc))
       end;
       save_repros out report;
       if report.Runner.rp_failures <> [] then exit 1

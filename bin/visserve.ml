@@ -133,37 +133,6 @@ let json_arg =
 
 (* ------------------------------------------------------------------ *)
 
-let tenant_json (s : Service.tenant_stats) signature =
-  Json.Obj
-    [
-      ("id", Json.Int s.Service.ts_id);
-      ("name", Json.String s.Service.ts_name);
-      ("batches", Json.Int s.Service.ts_batches);
-      ("rows", Json.Int s.Service.ts_rows);
-      ("groups", Json.Int s.Service.ts_groups);
-      ("group_syncs", Json.Int s.Service.ts_group_syncs);
-      ("replayed", Json.Int s.Service.ts_replayed);
-      ("failed", Json.Int s.Service.ts_failed);
-      ("injected", Json.Int s.Service.ts_injected);
-      ("rollbacks", Json.Int s.Service.ts_rollbacks);
-      ("degraded", Json.Int s.Service.ts_degraded);
-      ("io", Json.Int s.Service.ts_io);
-      ("checks", Json.Int s.Service.ts_checks);
-      ("gated", Json.Int s.Service.ts_gated);
-      ("reopts", Json.Int s.Service.ts_reopts);
-      ("bounded", Json.Int s.Service.ts_bounded);
-      ("swaps", Json.Int s.Service.ts_swaps);
-      ("scrubs", Json.Int s.Service.ts_scrubs);
-      ("scrub_corrupt", Json.Int s.Service.ts_scrub_corrupt);
-      ("scrub_rebuilt", Json.Int s.Service.ts_scrub_rebuilt);
-      ("unrecoverable", Json.Int s.Service.ts_unrecoverable);
-      ("opt_factor", Json.Float s.Service.ts_opt_factor);
-      ("ewma_ratio", Json.Float s.Service.ts_ewma_ratio);
-      ( "p99_latency_ms",
-        Json.Float (Service.percentile ~p:0.99 s.Service.ts_latencies_ms) );
-      ("signature", Json.String signature);
-    ]
-
 let serve tenants ticks seed jobs rate zipf base_card drift_tenant
     drift_factor drift_at fault_tenant fault_nth budget band gate warmup
     minsup mine log_queries scrub_every stats json =
@@ -172,6 +141,19 @@ let serve tenants ticks seed jobs rate zipf base_card drift_tenant
   if jobs < 1 then die "--jobs must be >= 1";
   if band <= 1. then die "--band must be > 1";
   if scrub_every < 0 then die "--scrub-every must be >= 0";
+  if rate < 0. then die "--rate must be >= 0";
+  if base_card < 1. then die "--base-card must be >= 1";
+  if budget < 0 then die "--budget must be >= 0";
+  if warmup < 0 then die "--warmup must be >= 0";
+  if fault_nth < 1 then die "--fault-nth must be >= 1";
+  if drift_factor < 0. then die "--drift-factor must be >= 0";
+  let check_tenant flag = function
+    | Some id when id < 0 || id >= tenants ->
+        die "%s must name a tenant in [0,%d] (got %d)" flag (tenants - 1) id
+    | Some _ | None -> ()
+  in
+  check_tenant "--drift-tenant" drift_tenant;
+  check_tenant "--fault-tenant" fault_tenant;
   let minsup =
     match minsup with
     | Some s when s < 0. || s > 1. -> die "--minsup must be in [0,1]"
@@ -230,41 +212,41 @@ let serve tenants ticks seed jobs rate zipf base_card drift_tenant
   done;
   Service.run svc ~ticks;
   let totals = Service.totals svc in
-  let per_tenant =
-    List.map
-      (fun id -> (Service.stats svc id, Service.signature svc id))
-      (Service.tenant_ids svc)
-  in
   let seconds = totals.Service.tt_clock_ms /. 1000. in
   let deltas_per_sec =
     if seconds > 0. then float_of_int totals.Service.tt_rows /. seconds else 0.
   in
-  if json then
-    print_endline
-      (Json.to_string ~indent:2
-         (Json.Obj
-            [
-              ("seed", Json.Int seed);
-              ("jobs", Json.Int jobs);
-              ("ticks", Json.Int ticks);
-              ("tenants", Json.Int tenants);
-              ("clock_ms", Json.Float totals.Service.tt_clock_ms);
-              ("batches", Json.Int totals.Service.tt_batches);
-              ("rows", Json.Int totals.Service.tt_rows);
-              ("deltas_per_sec", Json.Float deltas_per_sec);
-              ("failed", Json.Int totals.Service.tt_failed);
-              ("reopts", Json.Int totals.Service.tt_reopts);
-              ("swaps", Json.Int totals.Service.tt_swaps);
-              ("scrubs", Json.Int totals.Service.tt_scrubs);
-              ("scrub_corrupt", Json.Int totals.Service.tt_scrub_corrupt);
-              ("scrub_rebuilt", Json.Int totals.Service.tt_scrub_rebuilt);
-              ( "mean_latency_ms",
-                Json.Float totals.Service.tt_mean_latency_ms );
-              ("p99_latency_ms", Json.Float totals.Service.tt_p99_latency_ms);
-              ( "tenants_detail",
-                Json.List
-                  (List.map (fun (s, sg) -> tenant_json s sg) per_tenant) );
-            ]))
+  let doc =
+    Json.Obj
+      [
+        ("seed", Json.Int seed);
+        ("jobs", Json.Int jobs);
+        ("ticks", Json.Int ticks);
+        ("tenants", Json.Int tenants);
+        ("clock_ms", Json.Float totals.Service.tt_clock_ms);
+        ("batches", Json.Int totals.Service.tt_batches);
+        ("rows", Json.Int totals.Service.tt_rows);
+        ("deltas_per_sec", Json.Float deltas_per_sec);
+        ("failed", Json.Int totals.Service.tt_failed);
+        ("reopts", Json.Int totals.Service.tt_reopts);
+        ("swaps", Json.Int totals.Service.tt_swaps);
+        ("scrubs", Json.Int totals.Service.tt_scrubs);
+        ("scrub_corrupt", Json.Int totals.Service.tt_scrub_corrupt);
+        ("scrub_rebuilt", Json.Int totals.Service.tt_scrub_rebuilt);
+        ("mean_latency_ms", Json.Float totals.Service.tt_mean_latency_ms);
+        ("p99_latency_ms", Json.Float totals.Service.tt_p99_latency_ms);
+        ( "tenants_detail",
+          Json.List
+            (List.map
+               (fun id ->
+                 let s = Service.tenant_stats_json (Service.stats svc id) in
+                 Json.Obj
+                   (Json.fields s
+                   @ [ ("signature", Json.String (Service.signature svc id)) ]))
+               (Service.tenant_ids svc)) );
+      ]
+  in
+  if json then print_endline (Json.to_string ~indent:2 doc)
   else begin
     Printf.printf
       "served %d tenants for %d ticks (%.1f simulated s, seed %d, jobs %d)\n"
@@ -282,47 +264,10 @@ let serve tenants ticks seed jobs rate zipf base_card drift_tenant
         "  scrub passes %d, pages convicted %d, structures rebuilt %d\n"
         totals.Service.tt_scrubs totals.Service.tt_scrub_corrupt
         totals.Service.tt_scrub_rebuilt;
-    if stats then begin
-      let t =
-        Vis_util.Tableprint.create
-          [
-            "tenant";
-            "batches";
-            "rows";
-            "syncs";
-            "replayed";
-            "injected";
-            "degraded";
-            "checks";
-            "gated";
-            "reopts";
-            "swaps";
-            "p99 ms";
-            "signature";
-          ]
-      in
-      List.iter
-        (fun ((s : Service.tenant_stats), signature) ->
-          Vis_util.Tableprint.add_row t
-            [
-              s.Service.ts_name;
-              string_of_int s.Service.ts_batches;
-              string_of_int s.Service.ts_rows;
-              string_of_int s.Service.ts_group_syncs;
-              string_of_int s.Service.ts_replayed;
-              string_of_int s.Service.ts_injected;
-              string_of_int s.Service.ts_degraded;
-              string_of_int s.Service.ts_checks;
-              string_of_int s.Service.ts_gated;
-              string_of_int s.Service.ts_reopts;
-              string_of_int s.Service.ts_swaps;
-              Printf.sprintf "%.1f"
-                (Service.percentile ~p:0.99 s.Service.ts_latencies_ms);
-              String.sub signature 0 (min 12 (String.length signature));
-            ])
-        per_tenant;
-      Vis_util.Tableprint.print t
-    end
+    if stats then
+      print_string
+        (Vis_util.Tableprint.of_json ~title:"tenants_detail"
+           (Json.member "tenants_detail" doc))
   end;
   Service.shutdown svc;
   if totals.Service.tt_failed > 0 then exit 1

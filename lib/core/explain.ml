@@ -77,32 +77,6 @@ let explain p config =
     r_lines = List.rev !lines;
   }
 
-let render report =
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf report.r_config;
-  Buffer.add_string buf
-    (Printf.sprintf "\nadditional space: %.0f pages; total maintenance: %.1f I/Os\n\n"
-       report.r_space report.r_total);
-  let tbl =
-    T.create [ "element"; "delta"; "eval"; "apply"; "save"; "index"; "total"; "update path" ]
-  in
-  List.iter
-    (fun l ->
-      T.add_row tbl
-        [
-          l.l_element;
-          l.l_delta;
-          T.fmt_compact l.l_eval;
-          T.fmt_compact l.l_apply;
-          T.fmt_compact l.l_save;
-          T.fmt_compact l.l_index;
-          T.fmt_compact l.l_total;
-          l.l_plan;
-        ])
-    report.r_lines;
-  Buffer.add_string buf (T.render tbl);
-  Buffer.contents buf
-
 let report_json report =
   let module Json = Vis_util.Json in
   let line l =

@@ -25,12 +25,10 @@ type report = {
 (** [explain p config] evaluates every propagation under [config]. *)
 val explain : Problem.t -> Vis_costmodel.Config.t -> report
 
-(** [render report] formats the report as an ASCII table with totals. *)
-val render : report -> string
-
-(** [report_json report] is the machine-readable form of the same report:
-    the configuration, its total cost and space, and every propagation line
-    with its plan and cost components — consumed by [visadvisor --json]. *)
+(** [report_json report] is the report: the configuration, its total cost
+    and space, and every propagation line with its plan and cost components
+    — printed by [visadvisor --json], and as tables
+    ({!Vis_util.Tableprint.of_json}) by [--trace] and [explain]. *)
 val report_json : report -> Vis_util.Json.t
 
 (** [compare_designs p configs] renders a side-by-side cost summary of

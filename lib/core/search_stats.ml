@@ -1,4 +1,3 @@
-module T = Vis_util.Tableprint
 module Json = Vis_util.Json
 
 type t = {
@@ -162,75 +161,6 @@ let time t phase f =
 
 let phase_timings t =
   List.rev_map (fun phase -> (phase, Hashtbl.find t.phases phase)) t.phase_order
-
-let render t =
-  let buf = Buffer.create 512 in
-  Buffer.add_string buf (Printf.sprintf "search statistics (%s)\n" t.algo);
-  let counters = T.create [ "counter"; "value" ] in
-  List.iter
-    (fun (name, v) -> T.add_row counters [ name; string_of_int v ])
-    [
-      ("states expanded", t.expanded);
-      ("states generated", t.generated);
-      ("cost evaluations", t.evaluated);
-      ("max frontier", t.max_frontier);
-      ("admissibility checks", t.adm_checks);
-      ("admissibility violations", t.adm_violations);
-    ];
-  Buffer.add_string buf (T.render counters);
-  (match pruning_counts t with
-  | [] -> ()
-  | rules ->
-      let tbl = T.create [ "pruning rule"; "states cut" ] in
-      List.iter (fun (rule, n) -> T.add_row tbl [ rule; string_of_int n ]) rules;
-      Buffer.add_char buf '\n';
-      Buffer.add_string buf (T.render tbl));
-  (match phase_timings t with
-  | [] -> ()
-  | phases ->
-      let tbl = T.create [ "phase"; "seconds" ] in
-      List.iter
-        (fun (phase, s) -> T.add_row tbl [ phase; Printf.sprintf "%.4f" s ])
-        phases;
-      Buffer.add_char buf '\n';
-      Buffer.add_string buf (T.render tbl));
-  if t.rounds <> [] then begin
-    let tbl = T.create [ "sharded search"; "value" ] in
-    T.add_row tbl [ "exchange rounds"; string_of_int (round_count t) ];
-    T.add_row tbl [ "round work units"; string_of_int (round_work t) ];
-    List.iter
-      (fun jobs ->
-        match modeled_speedup t ~jobs with
-        | Some s ->
-            T.add_row tbl
-              [
-                Printf.sprintf "modeled speedup @%d workers" jobs;
-                Printf.sprintf "%.2fx" s;
-              ]
-        | None -> ())
-      [ 2; 4; 8 ];
-    Buffer.add_char buf '\n';
-    Buffer.add_string buf (T.render tbl)
-  end;
-  if t.jobs > 0 then begin
-    let tbl = T.create [ "parallelism"; "value" ] in
-    T.add_row tbl [ "worker slots"; string_of_int t.jobs ];
-    Array.iteri
-      (fun slot chunks ->
-        T.add_row tbl
-          [
-            (if slot = 0 then "domain 0 (coordinator) chunks"
-             else Printf.sprintf "domain %d chunks" slot);
-            string_of_int chunks;
-          ])
-      t.domain_work;
-    (match work_balance t with
-    | Some b -> T.add_row tbl [ "work balance"; Printf.sprintf "%.2f" b ]
-    | None -> ());
-    Buffer.add_char buf '\n';
-    Buffer.add_string buf (T.render tbl)
-  end;
-  Buffer.contents buf
 
 let to_json t =
   Json.Obj

@@ -7,10 +7,9 @@
     the largest frontier held, per-rule pruning counts (Table 2's
     pruning-effectiveness data), heuristic admissibility checks (the popped
     [ĉ] sequence of an admissible A* must be non-decreasing), and wall
-    times per phase.  The scoreboard renders as human tables
-    ({!Vis_util.Tableprint}) and as machine-readable JSON
-    ({!Vis_util.Json}), so both [visadvisor --stats] and [BENCH_vis.json]
-    are fed from the same counters. *)
+    times per phase.  The scoreboard has one report, {!to_json}; both
+    [BENCH_vis.json] and the human tables of [visadvisor --stats]
+    ({!Vis_util.Tableprint.of_json}) are derived from it. *)
 
 type t
 
@@ -138,9 +137,5 @@ val time : t -> string -> (unit -> 'a) -> 'a
 val phase_timings : t -> (string * float) list
 
 (** {1 Reports} *)
-
-(** Two tables: the counters, and the per-rule pruning counts with the
-    per-phase timings. *)
-val render : t -> string
 
 val to_json : t -> Vis_util.Json.t

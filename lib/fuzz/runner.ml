@@ -1,6 +1,5 @@
 module Schema = Vis_catalog.Schema
 module Json = Vis_util.Json
-module Tableprint = Vis_util.Tableprint
 
 type config = {
   cf_seed : int;
@@ -160,36 +159,6 @@ let failure_to_repro ~seed f =
     r_schema = f.f_schema;
     r_original = f.f_original;
   }
-
-let render rp =
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf
-    (Printf.sprintf "seed %d: %d trial%s in %.1fs, %d failure%s\n"
-       rp.rp_config.cf_seed rp.rp_trials_run
-       (if rp.rp_trials_run = 1 then "" else "s")
-       rp.rp_elapsed
-       (List.length rp.rp_failures)
-       (if List.length rp.rp_failures = 1 then "" else "s"));
-  let table = Tableprint.create [ "oracle"; "pass"; "skip"; "fail"; "secs" ] in
-  List.iter
-    (fun s ->
-      Tableprint.add_row table
-        [
-          s.os_name;
-          string_of_int s.os_pass;
-          string_of_int s.os_skip;
-          string_of_int s.os_fail;
-          Tableprint.fmt_float ~digits:2 s.os_seconds;
-        ])
-    rp.rp_oracles;
-  Buffer.add_string buf (Tableprint.render table);
-  List.iter
-    (fun f ->
-      Buffer.add_string buf
-        (Printf.sprintf "FAIL trial %d oracle %s: %s\n" f.f_trial f.f_oracle
-           f.f_message))
-    rp.rp_failures;
-  Buffer.contents buf
 
 let report_json rp =
   Json.Obj

@@ -67,7 +67,6 @@ val check_schema :
 
 val failure_to_repro : seed:int -> failure -> Repro.t
 
-(** Render the per-oracle pass/skip/fail table and the failure list. *)
-val render : report -> string
-
+(** The run as one JSON document: seed, trials, per-oracle pass/skip/fail
+    counts and every failure as a repro. *)
 val report_json : report -> Vis_util.Json.t

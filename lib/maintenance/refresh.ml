@@ -26,6 +26,27 @@ type report = {
 
 let total_io r = r.rp_reads + r.rp_writes
 
+let report_json r =
+  let module Json = Vis_util.Json in
+  Json.Obj
+    [
+      ("predicted_io", Json.Float r.rp_predicted);
+      ("measured_io", Json.Int (total_io r));
+      ("reads", Json.Int r.rp_reads);
+      ("writes", Json.Int r.rp_writes);
+      ("accesses", Json.Int r.rp_accesses);
+      ("wal_writes", Json.Int r.rp_wal_writes);
+      ("wal_syncs", Json.Int r.rp_wal_syncs);
+      ( "pool",
+        Json.Obj
+          [
+            ("hits", Json.Int r.rp_pool_hits);
+            ("misses", Json.Int r.rp_pool_misses);
+            ("evictions", Json.Int r.rp_pool_evictions);
+            ("overflows", Json.Int r.rp_pool_overflows);
+          ] );
+    ]
+
 let rels_of_desc desc =
   List.fold_left
     (fun acc (r, _) -> Bitset.add r acc)

@@ -28,6 +28,11 @@ type report = {
 
 val total_io : report -> int
 
+(** The report as one JSON object: predicted and measured I/O, the read,
+    write, access and WAL counts, and the buffer-pool counters under
+    ["pool"] — shared by [visadvisor validate] and the bench. *)
+val report_json : report -> Vis_util.Json.t
+
 (** [run warehouse batch] executes the refresh and reports measured vs.
     predicted I/O.  The warehouse's counters are reset first; on return they
     hold just this refresh (pool flushed into the counts). *)

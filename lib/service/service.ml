@@ -73,7 +73,7 @@ type tenant_stats = {
   ts_unrecoverable : int;
   ts_opt_factor : float;
   ts_ewma_ratio : float;
-  ts_latencies_ms : float list;
+  ts_latencies_ms : (float * int) list;
 }
 
 type totals = {
@@ -131,7 +131,7 @@ type tenant = {
   mutable c_scrub_corrupt : int;
   mutable c_scrub_rebuilt : int;
   mutable c_unrecoverable : int;
-  mutable c_latencies : float list;  (* newest first *)
+  mutable c_latencies : (float * int) list;
 }
 
 type t = {
@@ -250,6 +250,17 @@ let add_tenant ?name ?seed ?(rate = 2.0) ?(drift = Stream.Constant) ?faults
   t.tenants <- t.tenants @ [ tn ];
   id
 
+(* Batch latencies are kept as an ascending (latency, count) record rather
+   than one entry per batch: simulated latencies are whole multiples of the
+   group clock's batch interval, so the record stays a handful of entries
+   however long the daemon runs, and nearest-rank percentiles and means
+   over it equal those over the expanded list exactly. *)
+let rec add_latency ((l, n) as obs) = function
+  | [] -> [ obs ]
+  | (v, c) :: rest when v = l -> (v, c + n) :: rest
+  | ((v, _) as entry) :: rest when v < l -> entry :: add_latency obs rest
+  | hist -> obs :: hist
+
 let snapshot tn =
   {
     ts_id = tn.tn_id;
@@ -277,7 +288,7 @@ let snapshot tn =
     ts_unrecoverable = tn.c_unrecoverable;
     ts_opt_factor = tn.tn_opt_factor;
     ts_ewma_ratio = Monitor.ratio tn.tn_monitor;
-    ts_latencies_ms = List.rev tn.c_latencies;
+    ts_latencies_ms = tn.c_latencies;
   }
 
 let stats t id = snapshot (find t id)
@@ -353,7 +364,7 @@ let absorb tn outcome =
       tn.c_rollbacks <- tn.c_rollbacks + fstats.Refresh.fs_rollbacks;
       if fstats.Refresh.fs_degraded then tn.c_degraded <- tn.c_degraded + 1;
       List.iter
-        (fun l -> tn.c_latencies <- l :: tn.c_latencies)
+        (fun l -> tn.c_latencies <- add_latency (l, 1) tn.c_latencies)
         gstats.Refresh.gr_latencies_ms
   | Error e ->
       tn.c_failed <- tn.c_failed + 1;
@@ -521,26 +532,32 @@ let run t ~ticks =
     tick t
   done
 
-let percentile ~p xs =
-  match xs with
-  | [] -> 0.
-  | _ ->
-      let arr = Array.of_list xs in
-      Array.sort compare arr;
-      let n = Array.length arr in
-      let rank =
-        int_of_float (Float.ceil (Float.max 0. (Float.min 1. p) *. float_of_int n))
-      in
-      arr.(Int.max 0 (Int.min (n - 1) (rank - 1)))
+let percentile ~p hist =
+  let n = List.fold_left (fun acc (_, c) -> acc + c) 0 hist in
+  let rank =
+    int_of_float (Float.ceil (Float.max 0. (Float.min 1. p) *. float_of_int n))
+  in
+  (* The value at 0-based sorted position [idx] of the expanded list. *)
+  let idx = Int.max 0 (Int.min (n - 1) (rank - 1)) in
+  let rec walk seen = function
+    | [] -> 0.
+    | (v, c) :: rest -> if idx < seen + c then v else walk (seen + c) rest
+  in
+  walk 0 hist
 
 let totals t =
   let live = List.map snapshot t.tenants in
   let all = live @ t.retired in
   let sum f = List.fold_left (fun acc s -> acc + f s) 0 all in
   let latencies =
-    List.concat_map (fun s -> s.ts_latencies_ms) all
+    List.fold_left
+      (fun acc s -> List.fold_right add_latency s.ts_latencies_ms acc)
+      [] all
   in
-  let n_lat = List.length latencies in
+  let n_lat = List.fold_left (fun acc (_, c) -> acc + c) 0 latencies in
+  let sum_lat =
+    List.fold_left (fun acc (v, c) -> acc +. (v *. float_of_int c)) 0. latencies
+  in
   {
     tt_tenants = t.next_id;
     tt_ticks = t.ticks;
@@ -554,9 +571,38 @@ let totals t =
     tt_scrub_corrupt = sum (fun s -> s.ts_scrub_corrupt);
     tt_scrub_rebuilt = sum (fun s -> s.ts_scrub_rebuilt);
     tt_mean_latency_ms =
-      (if n_lat = 0 then 0.
-       else List.fold_left ( +. ) 0. latencies /. float_of_int n_lat);
+      (if n_lat = 0 then 0. else sum_lat /. float_of_int n_lat);
     tt_p99_latency_ms = percentile ~p:0.99 latencies;
   }
+
+let tenant_stats_json s =
+  let module Json = Vis_util.Json in
+  Json.Obj
+    [
+      ("id", Json.Int s.ts_id);
+      ("name", Json.String s.ts_name);
+      ("batches", Json.Int s.ts_batches);
+      ("rows", Json.Int s.ts_rows);
+      ("groups", Json.Int s.ts_groups);
+      ("group_syncs", Json.Int s.ts_group_syncs);
+      ("replayed", Json.Int s.ts_replayed);
+      ("failed", Json.Int s.ts_failed);
+      ("injected", Json.Int s.ts_injected);
+      ("rollbacks", Json.Int s.ts_rollbacks);
+      ("degraded", Json.Int s.ts_degraded);
+      ("io", Json.Int s.ts_io);
+      ("checks", Json.Int s.ts_checks);
+      ("gated", Json.Int s.ts_gated);
+      ("reopts", Json.Int s.ts_reopts);
+      ("bounded", Json.Int s.ts_bounded);
+      ("swaps", Json.Int s.ts_swaps);
+      ("scrubs", Json.Int s.ts_scrubs);
+      ("scrub_corrupt", Json.Int s.ts_scrub_corrupt);
+      ("scrub_rebuilt", Json.Int s.ts_scrub_rebuilt);
+      ("unrecoverable", Json.Int s.ts_unrecoverable);
+      ("opt_factor", Json.Float s.ts_opt_factor);
+      ("ewma_ratio", Json.Float s.ts_ewma_ratio);
+      ("p99_latency_ms", Json.Float (percentile ~p:0.99 s.ts_latencies_ms));
+    ]
 
 let shutdown t = Parallel.shutdown t.pool

@@ -120,8 +120,11 @@ type tenant_stats = {
       (** delta-scale factor the incumbent is optimized for (1.0 at
           registration) *)
   ts_ewma_ratio : float;  (** monitor ratio at snapshot time *)
-  ts_latencies_ms : float list;
-      (** per-batch commit latencies, oldest first *)
+  ts_latencies_ms : (float * int) list;
+      (** per-batch commit latencies as ascending (latency, batches) pairs:
+          simulated latencies are whole multiples of the group clock's
+          batch interval, so the record stays small however long the
+          daemon runs *)
 }
 
 (** Aggregate figures across live and retired tenants. *)
@@ -199,9 +202,21 @@ val core_digest : t -> int -> string
 
 val totals : t -> totals
 
-(** [percentile ~p xs] — the p-th percentile (nearest-rank, [p ∈ [0,1]])
-    of [xs]; 0 on the empty list. *)
-val percentile : p:float -> float list -> float
+(** [add_latency (l, n) hist] adds [n] batches of latency [l] to an
+    ascending (latency, batches) record — how the daemon accumulates
+    [ts_latencies_ms] from each refresh group's latencies. *)
+val add_latency : float * int -> (float * int) list -> (float * int) list
+
+(** [percentile ~p hist] — the p-th percentile (nearest-rank,
+    [p ∈ [0,1]]) of the values an ascending (value, count) record
+    describes, exactly as over the expanded list; 0 when it is empty. *)
+val percentile : p:float -> (float * int) list -> float
+
+(** The tenant's counters as one JSON object, with the latency record
+    summarized as its p99 ([ts_ticks] and [ts_wal_syncs] are left out) —
+    the per-tenant row of [visserve --json] and of the bench's service
+    study. *)
+val tenant_stats_json : tenant_stats -> Vis_util.Json.t
 
 (** Shuts the domain pool down.  The service must not be ticked after. *)
 val shutdown : t -> unit

@@ -95,11 +95,3 @@ let reset t =
   t.n_pool_overflows <- 0;
   t.n_checksum_verifications <- 0;
   t.n_checksum_failures <- 0
-
-let pp ppf t =
-  Format.fprintf ppf
-    "reads=%d writes=%d (wal=%d, syncs=%d) accesses=%d pool(hit=%d miss=%d \
-     evict=%d overflow=%d) checksum(verify=%d fail=%d)"
-    t.n_reads t.n_writes t.n_wal_writes t.n_wal_syncs t.n_accesses
-    t.n_pool_hits t.n_pool_misses t.n_pool_evictions t.n_pool_overflows
-    t.n_checksum_verifications t.n_checksum_failures

@@ -72,5 +72,3 @@ val record_checksum_verification : t -> unit
 val record_checksum_failure : t -> unit
 
 val reset : t -> unit
-
-val pp : Format.formatter -> t -> unit

@@ -289,6 +289,8 @@ let member name = function
   | Obj fields -> ( match List.assoc_opt name fields with Some v -> v | None -> Null)
   | _ -> Null
 
+let fields = function Obj fields -> fields | _ -> []
+
 let to_float = function
   | Int i -> float_of_int i
   | Float x -> x

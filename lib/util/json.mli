@@ -41,6 +41,11 @@ val of_string : string -> t
     absent or when [v] is not an object. *)
 val member : string -> t -> t
 
+(** [fields v] is the members of object [v] in order; [[]] when [v] is
+    not an object.  Lets a report splice a shared serializer's members into
+    a larger object. *)
+val fields : t -> (string * t) list
+
 (** [to_float v] widens [Int] and [Float] to float.  Raises
     {!Parse_error} on other constructors. *)
 val to_float : t -> float

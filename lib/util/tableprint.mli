@@ -22,3 +22,16 @@ val fmt_float : ?digits:int -> float -> string
 (** Format a float in a compact style: integers without a fraction, large
     values with thousands grouping. *)
 val fmt_compact : float -> string
+
+(** [of_json ?title v] renders a report as tables, the human twin of the
+    JSON document it came from.  An object's scalar members form one
+    [name]/[value] table; a list of objects forms one table with a row per
+    object and the union of its scalar keys as headers.  Every object or
+    list member then renders as its own table, titled with its path
+    ([title.key], [title[i].key]).  Empty objects render nothing, [null]
+    and empty lists render as ["-"], and a list of scalars as one
+    comma-separated cell.  Floats have one format: integral values without
+    a fraction, magnitudes of at least 1 with two decimals, smaller ones
+    with four significant digits.  Each table is preceded by its title
+    line when it has one; tables are separated by a blank line. *)
+val of_json : ?title:string -> Json.t -> string

@@ -390,7 +390,9 @@ let test_explain () =
   in
   checkf "lines sum to total" report.Vis_core.Explain.r_total sum;
   (* The rendered report mentions every maintained element. *)
-  let text = Vis_core.Explain.render report in
+  let text =
+    Vis_util.Tableprint.of_json (Vis_core.Explain.report_json report)
+  in
   checkb "mentions the primary view" true
     (List.exists
        (fun l -> l.Vis_core.Explain.l_element = "V")

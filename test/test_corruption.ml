@@ -506,8 +506,21 @@ let test_cli_validation () =
   exits_2 "visserve --ticks 0" (serve ^ " --ticks 0");
   exits_2 "visserve --tenants 0" (serve ^ " --tenants 0");
   exits_2 "visserve --scrub-every negative" (serve ^ " --scrub-every=-1");
+  exits_2 "visserve --rate negative" (serve ^ " --rate=-1");
+  exits_2 "visserve --base-card 0" (serve ^ " --base-card 0");
+  exits_2 "visserve --budget negative" (serve ^ " --budget=-3");
+  exits_2 "visserve --warmup negative" (serve ^ " --warmup=-2");
+  exits_2 "visserve --fault-nth 0" (serve ^ " --fault-tenant 0 --fault-nth 0");
+  exits_2 "visserve --drift-factor negative"
+    (serve ^ " --drift-tenant 0 --drift-factor=-2");
+  exits_2 "visserve --drift-tenant out of range"
+    (serve ^ " --tenants 2 --drift-tenant 7");
+  exits_2 "visserve --fault-tenant out of range"
+    (serve ^ " --tenants 2 --fault-tenant 7");
   exits_2 "visfuzz --trials 0" (fuzz ^ " --trials 0");
-  exits_2 "visfuzz --jobs 0" (fuzz ^ " --jobs 0")
+  exits_2 "visfuzz --jobs 0" (fuzz ^ " --jobs 0");
+  exits_2 "visfuzz --time-budget negative" (fuzz ^ " --time-budget=-1");
+  exits_2 "visfuzz --time-budget 0" (fuzz ^ " --time-budget 0")
 
 (* ------------------------------------------------------------------ *)
 

@@ -54,7 +54,7 @@ let test_report_totals () =
 let test_render () =
   let p = problem () in
   let report = Explain.explain p (Lazy.force optimal) in
-  let text = Explain.render report in
+  let text = Vis_util.Tableprint.of_json (Explain.report_json report) in
   checkb "render is newline-terminated" true
     (String.length text > 0 && text.[String.length text - 1] = '\n');
   List.iter

@@ -20,6 +20,10 @@ let checkb = Alcotest.(check bool)
 let checki = Alcotest.(check int)
 let checkf msg = Alcotest.(check (float 1e-9)) msg
 
+(* Batches the latency record of a tenant's stats accounts for. *)
+let latency_count s =
+  List.fold_left (fun acc (_, c) -> acc + c) 0 s.Service.ts_latencies_ms
+
 let schema = Vis_workload.Schemas.validation ~base_card:200. ()
 
 (* One shared initial design (the greedy one, for speed): every scenario
@@ -124,9 +128,9 @@ let test_ingestion () =
           checkb "I/O was charged" true (s.Service.ts_io > 0);
           checki "no stream failed" 0 s.Service.ts_failed;
           checki "one latency per committed batch" s.Service.ts_batches
-            (List.length s.Service.ts_latencies_ms);
+            (latency_count s);
           List.iter
-            (fun l -> checkb "latencies are non-negative" true (l >= 0.))
+            (fun (l, _) -> checkb "latencies are non-negative" true (l >= 0.))
             s.Service.ts_latencies_ms)
         (Service.tenant_ids svc);
       List.iter
@@ -368,7 +372,7 @@ let test_swap_happens_and_preserves_content () =
           checki "same batches either way" sa.Service.ts_batches
             sb.Service.ts_batches;
           checki "no batch lost to a swap" sa.Service.ts_batches
-            (List.length sa.Service.ts_latencies_ms);
+            (latency_count sa);
           List.iter
             (fun id ->
               Alcotest.(check string)
@@ -445,7 +449,7 @@ let test_budget_bounded_degradation () =
         (Config.equal (Service.incumbent svc 0) (Lazy.force design));
       checki "the stream never failed" 0 s.Service.ts_failed;
       checki "every batch still committed" s.Service.ts_batches
-        (List.length s.Service.ts_latencies_ms))
+        (latency_count s))
 
 (* ------------------------------------------------------------------ *)
 (* Determinism and fault isolation. *)
@@ -493,15 +497,91 @@ let test_fault_determinism_across_jobs () =
 (* ------------------------------------------------------------------ *)
 (* Helpers. *)
 
+(* Nearest-rank percentile over an explicit list: the reference the
+   (latency, count) record must reproduce exactly. *)
+let brute_percentile ~p xs =
+  match List.sort compare xs with
+  | [] -> 0.
+  | sorted ->
+      let n = List.length sorted in
+      let rank = int_of_float (Float.ceil (p *. float_of_int n)) in
+      List.nth sorted (max 0 (min (n - 1) (rank - 1)))
+
+let record xs = List.fold_left (fun h l -> Service.add_latency (l, 1) h) [] xs
+
 let test_percentile () =
-  checkf "empty list" 0. (Service.percentile ~p:0.99 []);
-  checkf "singleton" 5. (Service.percentile ~p:0.99 [ 5. ]);
+  checkf "empty record" 0. (Service.percentile ~p:0.99 []);
+  checkf "singleton" 5. (Service.percentile ~p:0.99 [ (5., 1) ]);
   let xs = List.init 100 (fun i -> float_of_int (i + 1)) in
-  checkf "p99 of 1..100" 99. (Service.percentile ~p:0.99 xs);
-  checkf "p50 of 1..100" 50. (Service.percentile ~p:0.5 xs);
-  checkf "p100 is the max" 100. (Service.percentile ~p:1.0 xs);
-  checkf "order does not matter" 99.
-    (Service.percentile ~p:0.99 (List.rev xs))
+  checkf "p99 of 1..100" 99. (Service.percentile ~p:0.99 (record xs));
+  checkf "p50 of 1..100" 50. (Service.percentile ~p:0.5 (record xs));
+  checkf "p100 is the max" 100. (Service.percentile ~p:1.0 (record xs));
+  checkb "arrival order does not change the record" true
+    (record xs = record (List.rev xs));
+  checkb "the record is ascending with merged counts" true
+    (record [ 30.; 10.; 30.; 20.; 10.; 30. ]
+    = [ (10., 2); (20., 1); (30., 3) ]);
+  let counted = [ (10., 98); (20., 1); (40., 1) ] in
+  checkf "counts weigh the rank" 20. (Service.percentile ~p:0.99 counted);
+  checkf "p100 of a counted record" 40. (Service.percentile ~p:1.0 counted)
+
+(* 200 ticks of one busy tenant keep the latency record a handful of
+   entries, and 200 refresh groups run directly on a warehouse give the
+   same p99 and mean through the record as through the plain list of every
+   group's [gr_latencies_ms]. *)
+let test_latency_record_bounded () =
+  let calm = { base_config with Service.sv_band = 1e9 } in
+  let svc = Service.create ~config:calm () in
+  ignore
+    (Service.add_tenant ~seed:5 ~rate:4. ~config:(Lazy.force design) svc
+       schema);
+  Service.run svc ~ticks:200;
+  let s = Service.stats svc 0 in
+  let t = Service.totals svc in
+  Service.shutdown svc;
+  checkb "record stays under 16 entries" true
+    (List.length s.Service.ts_latencies_ms < 16);
+  checki "the record counts every batch" s.Service.ts_batches
+    (latency_count s);
+  checkf "totals p99 reads the record" t.Service.tt_p99_latency_ms
+    (Service.percentile ~p:0.99 s.Service.ts_latencies_ms);
+  let module Refresh = Vis_maintenance.Refresh in
+  let module Warehouse = Vis_maintenance.Warehouse in
+  let rng = Random.State.make [| 11 |] in
+  let ds = ref (Datagen.generate ~rng schema) in
+  let w = Warehouse.build schema (Lazy.force design) !ds in
+  let all = ref [] and hist = ref [] in
+  for _ = 1 to 200 do
+    let batches =
+      List.init
+        (1 + Random.State.int rng 9)
+        (fun _ ->
+          let b = Datagen.deltas_evolving ~rng schema !ds in
+          ds := Datagen.apply schema !ds b;
+          b)
+    in
+    match Refresh.run_protected_many w batches with
+    | Error _ -> Alcotest.fail "fault-free group failed"
+    | Ok (_, _, g) ->
+        all := !all @ g.Refresh.gr_latencies_ms;
+        List.iter
+          (fun l -> hist := Service.add_latency (l, 1) !hist)
+          g.Refresh.gr_latencies_ms
+  done;
+  checkb "direct record stays under 16 entries" true (List.length !hist < 16);
+  List.iter
+    (fun p ->
+      Alcotest.(check (float 0.))
+        (Printf.sprintf "p%g equals the brute-force list" (100. *. p))
+        (brute_percentile ~p !all)
+        (Service.percentile ~p !hist))
+    [ 0.5; 0.9; 0.99; 1.0 ];
+  let n = List.length !all in
+  Alcotest.(check (float 0.))
+    "mean equals the brute-force list"
+    (List.fold_left ( +. ) 0. !all /. float_of_int n)
+    (List.fold_left (fun acc (v, c) -> acc +. (v *. float_of_int c)) 0. !hist
+    /. float_of_int (List.fold_left (fun acc (_, c) -> acc + c) 0 !hist))
 
 let test_run_tasks () =
   let pool = Parallel.create ~jobs:4 () in
@@ -557,6 +637,8 @@ let () =
       ( "helpers",
         [
           Alcotest.test_case "percentile" `Quick test_percentile;
+          Alcotest.test_case "bounded latency record" `Quick
+            test_latency_record_bounded;
           Alcotest.test_case "run_tasks" `Quick test_run_tasks;
         ] );
     ]

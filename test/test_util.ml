@@ -186,6 +186,66 @@ let test_fmt_compact () =
   Alcotest.(check string) "small" "999" (Vis_util.Tableprint.fmt_compact 999.);
   Alcotest.(check string) "fraction" "1.50" (Vis_util.Tableprint.fmt_compact 1.5)
 
+let test_of_json () =
+  let module J = Vis_util.Json in
+  let doc =
+    J.Obj
+      [
+        ("name", J.String "run");
+        ("ratio", J.Float 0.123456);
+        ("cost", J.Float 1234.5678);
+        ("states", J.Float 622080.);
+        ("missing", J.Null);
+        ("work", J.List [ J.Int 3; J.Int 4 ]);
+        ("empty", J.Obj []);
+        ( "rows",
+          J.List
+            [
+              J.Obj [ ("k", J.String "a"); ("n", J.Int 1) ];
+              J.Obj
+                [
+                  ("k", J.String "b");
+                  ("extra", J.Bool true);
+                  ("sub", J.Obj [ ("x", J.Int 9) ]);
+                ];
+            ] );
+      ]
+  in
+  let expected =
+    String.concat "\n"
+      [
+        "report";
+        "name     value";
+        "----------------";
+        "name     run";
+        "ratio    0.1235";
+        "cost     1234.57";
+        "states   622080";
+        "missing  -";
+        "work     3, 4";
+        "";
+        "report.rows";
+        "k  n  extra";
+        "-----------";
+        "a  1";
+        "b     true";
+        "";
+        "report.rows[1].sub";
+        "name  value";
+        "-----------";
+        "x     9";
+        "";
+      ]
+  in
+  Alcotest.(check string) "tables" expected
+    (Vis_util.Tableprint.of_json ~title:"report" doc);
+  Alcotest.(check string) "empty object renders nothing" ""
+    (Vis_util.Tableprint.of_json (J.Obj []));
+  Alcotest.(check string) "UTF-8 cells align by code point"
+    "a   b\n-----\n\xce\x94R  1\n"
+    (Vis_util.Tableprint.of_json
+       (J.List [ J.Obj [ ("a", J.String "\xce\x94R"); ("b", J.Int 1) ] ]))
+
 let test_num () =
   check_int "ceil_div exact" 3 (Num.ceil_div 9 3);
   check_int "ceil_div round up" 4 (Num.ceil_div 10 3);
@@ -303,6 +363,7 @@ let () =
         [
           Alcotest.test_case "render" `Quick test_tableprint;
           Alcotest.test_case "compact numbers" `Quick test_fmt_compact;
+          Alcotest.test_case "json tables" `Quick test_of_json;
           Alcotest.test_case "numeric helpers" `Quick test_num;
         ] );
       ( "json",
