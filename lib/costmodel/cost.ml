@@ -60,6 +60,51 @@ end
 
 module Ktbl = Hashtbl.Make (Key)
 
+(* ------------------------------------------------------------------ *)
+(* The configuration-independent half of [Eval] (see [eval_ins] below):
+   one skeleton per (target relation set, delta relation), built on first
+   use and kept in the problem's cache beside the memo stripes. *)
+
+(* A join-probe candidate of a unit: an index on the unit's side of a join
+   whose other side lies in the target but outside the unit.  Whether the
+   index exists is the configuration's business. *)
+type probe = {
+  pr_outside : int;  (* dense bit of the outside relation *)
+  pr_index : Element.index;  (* the probed index, as plans name it *)
+  pr_matches : float;  (* unit tuples joining one outer tuple *)
+  pr_per_probe : float;  (* index pages read per probe *)
+}
+
+(* A join unit: a base relation of the target other than the delta
+   relation, or a view inside the target that avoids it. *)
+type join_unit = {
+  ju_elem : Element.t;
+  ju_mask : int;  (* dense mask of the relations it covers *)
+  ju_card : float;
+  ju_pages : float;
+  ju_ix_pages : float;  (* pages of any index on the unit *)
+  ju_probes : probe list;  (* in schema join order *)
+  ju_sel_attrs : Element.attr list;
+      (* a base unit's selection attributes: an index on any of them allows
+         Table 5's index scan of the inner side, costing
+         [ju_sel_ix_pages +. read_f *. ju_sel_data_pages] *)
+  ju_sel_ix_pages : float;
+  ju_sel_data_pages : float;
+}
+
+type skeleton = {
+  sk_dense : int array;  (* relation -> dense bit; -1 outside the target *)
+  sk_sets : Bitset.t array;  (* dense code -> relation set *)
+  sk_r_bit : int;  (* dense bit of the delta relation *)
+  sk_delta_pages : float;  (* pages of the shipped delta *)
+  sk_tuples : float array;  (* per code: delta result tuples *)
+  sk_pages : float array;  (* per code: delta result pages *)
+  sk_blocks : float array;  (* per code: [ceil (pages / P_m)] *)
+  sk_bases : join_unit array;  (* base units, in relaxation order *)
+  sk_views : join_unit option Atomic.t array;
+      (* view units by dense code, built on first use *)
+}
+
 (* The cache is shared by every evaluator of a problem — including, since
    the multicore work, evaluators running concurrently on several domains.
    It is lock-striped: keys hash to one of a fixed set of stripes, each a
@@ -69,7 +114,9 @@ module Ktbl = Hashtbl.Make (Key)
    use — no lost updates — while domains touching different stripes never
    contend.  Cached values equal freshly computed ones (the cost model is a
    pure function of the restricted configuration signature), so concurrent
-   duplicate computation of a missed key is wasteful but harmless. *)
+   duplicate computation of a missed key is wasteful but harmless.  The
+   [Eval] skeletons sit beside the stripes in their own table; they are
+   never evicted and never counted. *)
 
 type stripe = {
   tbl : memo_value Ktbl.t;
@@ -81,7 +128,12 @@ type stripe = {
   mutable evictions : int;
 }
 
-type cache = { stripes : stripe array; mask : int }
+type cache = {
+  stripes : stripe array;
+  mask : int;
+  skeletons : (int * int, skeleton) Hashtbl.t;  (* (target set, delta rel) *)
+  sk_lock : Mutex.t;  (* guards [skeletons] *)
+}
 
 type cache_stats = {
   cs_hits : int;
@@ -121,7 +173,12 @@ let new_cache ?(capacity = 0) () : cache =
             ((capacity / n_stripes)
             + (if i < capacity mod n_stripes then 1 else 0)))
   in
-  { stripes; mask = n_stripes - 1 }
+  {
+    stripes;
+    mask = n_stripes - 1;
+    skeletons = Hashtbl.create 64;
+    sk_lock = Mutex.create ();
+  }
 
 let stripe_of c key =
   (* The table inside each stripe indexes buckets by the low bits of
@@ -196,7 +253,10 @@ let cache_find c key =
 let cache_store c key value =
   let s = stripe_of c key in
   locked s (fun () ->
-      if s.s_capacity > 0 then begin
+      (* Two domains that missed the same key both store it; the second
+         store only replaces the value, or the key would be queued twice
+         and its stale copy would later evict a live entry. *)
+      if s.s_capacity > 0 && not (Ktbl.mem s.tbl key) then begin
         if Ktbl.length s.tbl >= s.s_capacity then begin
           match Queue.take_opt s.fifo with
           | Some oldest ->
@@ -208,11 +268,9 @@ let cache_store c key value =
       end;
       Ktbl.replace s.tbl key value)
 
-let elem_sig_code schema = function
+let elem_code = function
   | Element.Base i -> (2 * i) + 1
-  | Element.View s ->
-      ignore schema;
-      2 * Bitset.to_int s
+  | Element.View s -> 2 * Bitset.to_int s
 
 let index_sig_code schema ix =
   let attr =
@@ -220,7 +278,7 @@ let index_sig_code schema ix =
     + Schema.attr_pos schema ix.Element.ix_attr.Element.a_rel
         ix.Element.ix_attr.Element.a_name
   in
-  lnot ((elem_sig_code schema ix.Element.ix_elem * 4096) + attr)
+  lnot ((elem_code ix.Element.ix_elem * 4096) + attr)
 
 (* ------------------------------------------------------------------ *)
 (* Feature encoding: a problem's candidate features (views, indexes,
@@ -264,7 +322,7 @@ let make_encoding derived features =
       | Config.F_view w -> Hashtbl.replace view_bit (Bitset.to_int w) i
       | Config.F_index ix -> Hashtbl.replace index_bit (index_sig_code schema ix) i
       | Config.F_compress e ->
-          Hashtbl.replace compress_bit (elem_sig_code schema e) i)
+          Hashtbl.replace compress_bit (elem_code e) i)
     features;
   (* Relevance of every element a configuration of the universe can
      maintain: the base relations, the candidate views, the primary view. *)
@@ -320,7 +378,7 @@ let mask_of_config enc config =
     List.fold_left
       (fun acc e ->
         match
-          Hashtbl.find_opt enc.en_compress_bit (elem_sig_code enc.en_schema e)
+          Hashtbl.find_opt enc.en_compress_bit (elem_code e)
         with
         | Some b -> acc lor (1 lsl b)
         | None -> raise Out_of_universe)
@@ -379,7 +437,7 @@ let structural_keying schema config =
      the encoded universe's decoded configurations. *)
   let enc_compress =
     List.map
-      (fun e -> (Element.rels e, lnot ((1 lsl 40) + elem_sig_code schema e)))
+      (fun e -> (Element.rels e, lnot ((1 lsl 40) + elem_code e)))
       (Config.compress config)
   in
   K_structural { enc_views; enc_indexes; enc_compress; prefixes = [] }
@@ -425,10 +483,6 @@ let derived t = t.derived
 let schema t = Derived.schema t.derived
 
 let mem_pages t = float_of_int (schema t).Schema.mem_pages
-
-let elem_code = function
-  | Element.Base i -> (2 * i) + 1
-  | Element.View s -> 2 * Bitset.to_int s
 
 let elem_prefix k target =
   let code = elem_code target in
@@ -488,76 +542,94 @@ let apply_ix t elem k =
 let nbj_cost t ~outer_pages ~inner_pages =
   Float.ceil (outer_pages /. mem_pages t) *. inner_pages
 
-(* Accessing the inner side of a nested-block join.  A stored view or a
-   replica is scanned; a base relation carrying a local selection may
-   instead be read through an index on the selection attribute (Table 5's
-   index scan), when such an index is materialized. *)
-let inner_access_cost t unit =
-  let rf = read_f t unit in
-  let scan = rf *. Element.pages t.derived unit in
-  match unit with
-  | Element.View _ -> scan
-  | Element.Base i ->
-      let s = schema t in
-      let sel_attrs = Schema.selection_attrs s i in
-      if sel_attrs = [] then scan
-      else begin
-        let card = Derived.base_card t.derived i in
-        let pages = Derived.base_pages t.derived i in
-        let shape = Derived.index_shape t.derived ~entries:card in
-        let matching = Derived.eff_card t.derived i in
-        let via_index attr_name =
-          let attr = { Element.a_rel = i; a_name = attr_name } in
-          if Config.has_index (config t) unit attr then
-            (* Index pages are never compressed; only the data pages
-               fetched through the index pay (or enjoy) the factor. *)
-            Some
-              (float_of_int (shape.Derived.ix_height - 1)
-              +. Num.fceil (shape.Derived.ix_pages *. matching /. Float.max card 1e-9)
-              +. rf *. Yao.y_wap ~n:card ~p:pages ~k:matching ~m:(mem_pages t))
-          else None
-        in
-        List.fold_left
-          (fun best a ->
-            match via_index a with Some c -> Float.min best c | None -> best)
-          scan sel_attrs
-      end
-
 (* ------------------------------------------------------------------ *)
 (* Propagating insertions: Eval(ΔR ⋈ ...) by dynamic programming over the
    covered relation subsets, starting from the shipped delta or from a
    saved delta of a materialized subview, and extending with base
-   relations or materialized views via nested-block or index joins. *)
+   relations or materialized views via nested-block or index joins.
 
-(* A join unit available for covering part of the target, with its costs
-   precomputed for the inner loop. *)
-type unit_info = {
-  u_elem : Element.t;
-  u_mask : int;  (* dense mask of the relations it covers *)
-  u_inner_access : float;  (* per-block cost of the nested-block inner side *)
-  u_read_f : float;  (* compression read factor for the unit's data pages *)
-  u_probes : (int * float * float * float * float * Element.attr) list;
-      (* per indexed join attribute reachable from outside the unit:
-         (dense bit of the outside relation, matches per probe,
-          index pages, per-probe index pages, data pages, probed attr) *)
-}
+   Everything the DP needs that does not depend on the configuration lives
+   in the (target, delta relation) skeleton: the dense subset codes, each
+   code's result size, and each unit's join-probe candidates.  A derivation
+   only checks which candidate indexes and views the configuration has,
+   prices the inner sides, and relaxes over arrays. *)
 
-let eval_ins t target_set r =
-  let d = t.derived in
-  let s = schema t in
+let dense_of_set dense set =
+  Bitset.fold (fun rel acc -> acc lor (1 lsl dense.(rel))) set 0
+
+let make_join_unit d target_set dense elem =
+  let s = Derived.schema d in
+  let urels = Element.rels elem in
+  let card = Element.card d elem in
+  let pages = Element.pages d elem in
+  let shape = Derived.index_shape d ~entries:card in
+  let probe (j : Schema.join) =
+    let inside_attr =
+      if
+        Bitset.mem j.Schema.left_rel urels
+        && (not (Bitset.mem j.Schema.right_rel urels))
+        && Bitset.mem j.Schema.right_rel target_set
+      then
+        Some
+          ( { Element.a_rel = j.Schema.left_rel; a_name = j.Schema.left_attr },
+            j.Schema.right_rel )
+      else if
+        Bitset.mem j.Schema.right_rel urels
+        && (not (Bitset.mem j.Schema.left_rel urels))
+        && Bitset.mem j.Schema.left_rel target_set
+      then
+        Some
+          ( { Element.a_rel = j.Schema.right_rel; a_name = j.Schema.right_attr },
+            j.Schema.left_rel )
+      else None
+    in
+    Option.map
+      (fun (attr, outside_rel) ->
+        let matches = card *. j.Schema.join_sel in
+        {
+          pr_outside = 1 lsl dense.(outside_rel);
+          pr_index = { Element.ix_elem = elem; ix_attr = attr };
+          pr_matches = matches;
+          pr_per_probe =
+            float_of_int (max 0 (shape.Derived.ix_height - 2))
+            +. Num.fceil (shape.Derived.ix_pages *. matches /. Float.max card 1e-9);
+        })
+      inside_attr
+  in
+  let sel_attrs, sel_ix_pages, sel_data_pages =
+    match elem with
+    | Element.View _ -> ([], 0., 0.)
+    | Element.Base i ->
+        let matching = Derived.eff_card d i in
+        ( List.map
+            (fun a -> { Element.a_rel = i; a_name = a })
+            (Schema.selection_attrs s i),
+          float_of_int (shape.Derived.ix_height - 1)
+          +. Num.fceil (shape.Derived.ix_pages *. matching /. Float.max card 1e-9),
+          Yao.y_wap ~n:card ~p:pages ~k:matching
+            ~m:(float_of_int s.Schema.mem_pages) )
+  in
+  {
+    ju_elem = elem;
+    ju_mask = dense_of_set dense urels;
+    ju_card = card;
+    ju_pages = pages;
+    ju_ix_pages = shape.Derived.ix_pages;
+    ju_probes = List.filter_map probe s.Schema.joins;
+    ju_sel_attrs = sel_attrs;
+    ju_sel_ix_pages = sel_ix_pages;
+    ju_sel_data_pages = sel_data_pages;
+  }
+
+let make_skeleton d target_set r =
+  let s = Derived.schema d in
   let i_r = (Schema.delta s r).Schema.n_ins in
   let scale = i_r /. Derived.base_card d r in
-  let pm = mem_pages t in
-  let half_mem = pm /. 2. in
-  (* Dense encoding of the subsets of [target_set]. *)
+  let pm = float_of_int s.Schema.mem_pages in
   let positions = Array.of_list (Bitset.elements target_set) in
-  let k = Array.length positions in
-  let nstates = 1 lsl k in
-  let dense_bit_of_rel = Array.make (Schema.n_relations s) (-1) in
-  Array.iteri (fun bit rel -> dense_bit_of_rel.(rel) <- bit) positions;
-  let dense_of_set set =
-    Bitset.fold (fun rel acc -> acc lor (1 lsl dense_bit_of_rel.(rel))) set 0
-  in
+  let nstates = 1 lsl Array.length positions in
+  let dense = Array.make (Schema.n_relations s) (-1) in
+  Array.iteri (fun bit rel -> dense.(rel) <- bit) positions;
   (* sets.(code) is the Bitset for a dense code; built incrementally. *)
   let sets = Array.make nstates Bitset.empty in
   for code = 1 to nstates - 1 do
@@ -569,144 +641,172 @@ let eval_ins t target_set r =
     done;
     sets.(code) <- Bitset.add positions.(!bit) sets.(code land (code - 1))
   done;
-  let count code = Derived.view_card d sets.(code) *. scale in
-  let result_pages code =
-    Derived.pages_of_tuples d ~set:sets.(code) ~tuples:(count code)
+  let tuples = Array.map (fun set -> Derived.view_card d set *. scale) sets in
+  let pages =
+    Array.init nstates (fun code ->
+        Derived.pages_of_tuples d ~set:sets.(code) ~tuples:tuples.(code))
   in
-  let r_bit = 1 lsl dense_bit_of_rel.(r) in
-  (* Units: base relations of the target and materialized views inside the
-     target that avoid the delta relation. *)
-  let make_unit elem =
-    let urels = Element.rels elem in
-    let probes =
-      List.filter_map
-        (fun (j : Schema.join) ->
-          let inside_attr =
-            if
-              Bitset.mem j.Schema.left_rel urels
-              && (not (Bitset.mem j.Schema.right_rel urels))
-              && Bitset.mem j.Schema.right_rel target_set
-            then
-              Some
-                ( { Element.a_rel = j.Schema.left_rel; a_name = j.Schema.left_attr },
-                  j.Schema.right_rel )
-            else if
-              Bitset.mem j.Schema.right_rel urels
-              && (not (Bitset.mem j.Schema.left_rel urels))
-              && Bitset.mem j.Schema.left_rel target_set
-            then
-              Some
-                ( { Element.a_rel = j.Schema.right_rel; a_name = j.Schema.right_attr },
-                  j.Schema.left_rel )
-            else None
-          in
-          match inside_attr with
-          | Some (attr, outside_rel) when Config.has_index (config t) elem attr ->
-              let card = Element.card d elem in
-              let pages = Element.pages d elem in
-              let shape = Derived.index_shape d ~entries:card in
-              let matches = card *. j.Schema.join_sel in
-              let per_probe =
-                float_of_int (max 0 (shape.Derived.ix_height - 2))
-                +. Num.fceil
-                     (shape.Derived.ix_pages *. matches /. Float.max card 1e-9)
-              in
-              Some
-                ( 1 lsl dense_bit_of_rel.(outside_rel),
-                  matches,
-                  shape.Derived.ix_pages,
-                  per_probe,
-                  pages,
-                  attr )
-          | _ -> None)
-        s.Schema.joins
-    in
-    {
-      u_elem = elem;
-      u_mask = dense_of_set urels;
-      u_inner_access = inner_access_cost t elem;
-      u_read_f = read_f t elem;
-      u_probes = probes;
-    }
-  in
-  let units =
+  let bases =
     Bitset.fold
-      (fun i acc -> if i = r then acc else make_unit (Element.Base i) :: acc)
+      (fun i acc ->
+        if i = r then acc else make_join_unit d target_set dense (Element.Base i) :: acc)
       target_set []
-    @ List.filter_map
-        (fun w ->
-          if Bitset.subset w target_set && not (Bitset.mem r w) then
-            Some (make_unit (Element.View w))
-          else None)
-        (Config.views (config t))
   in
-  (* DP tables. *)
+  {
+    sk_dense = dense;
+    sk_sets = sets;
+    sk_r_bit = 1 lsl dense.(r);
+    sk_delta_pages = Derived.delta_pages d ~rel:r ~count:i_r;
+    sk_tuples = tuples;
+    sk_pages = pages;
+    sk_blocks = Array.map (fun p -> Float.ceil (p /. pm)) pages;
+    sk_bases = Array.of_list bases;
+    sk_views = Array.init nstates (fun _ -> Atomic.make None);
+  }
+
+(* Domains that miss the same skeleton build identical copies; the first
+   one published is the one every later derivation uses. *)
+let skeleton t target_set r =
+  let c = t.cache in
+  let key = (Bitset.to_int target_set, r) in
+  match Mutex.protect c.sk_lock (fun () -> Hashtbl.find_opt c.skeletons key) with
+  | Some sk -> sk
+  | None ->
+      let sk = make_skeleton t.derived target_set r in
+      Mutex.protect c.sk_lock (fun () ->
+          match Hashtbl.find_opt c.skeletons key with
+          | Some first -> first
+          | None ->
+              Hashtbl.add c.skeletons key sk;
+              sk)
+
+let view_unit t sk target_set w =
+  let slot = sk.sk_views.(dense_of_set sk.sk_dense w) in
+  match Atomic.get slot with
+  | Some u -> u
+  | None ->
+      let u = make_join_unit t.derived target_set sk.sk_dense (Element.View w) in
+      Atomic.set slot (Some u);
+      u
+
+(* Accessing the inner side of a nested-block join.  A stored view or a
+   replica is scanned; a base relation carrying a local selection may
+   instead be read through an index on the selection attribute (Table 5's
+   index scan), when such an index is materialized.  Index pages are never
+   compressed; only the data pages pay (or enjoy) the factor [rf]. *)
+let inner_access t u rf =
+  let scan = rf *. u.ju_pages in
+  if List.exists (Config.has_index (config t) u.ju_elem) u.ju_sel_attrs then
+    Float.min scan (u.ju_sel_ix_pages +. (rf *. u.ju_sel_data_pages))
+  else scan
+
+let eval_ins t target_set r =
+  let sk = skeleton t target_set r in
+  let views = Config.views (config t) in
+  (* Units in relaxation order: the base relations, then the configuration's
+     views inside the target that avoid the delta relation. *)
+  let units =
+    Array.append sk.sk_bases
+      (Array.of_list
+         (List.filter_map
+            (fun w ->
+              if Bitset.subset w target_set && not (Bitset.mem r w) then
+                Some (view_unit t sk target_set w)
+              else None)
+            views))
+  in
+  let read = Array.map (fun u -> read_f t u.ju_elem) units in
+  let access = Array.mapi (fun i u -> inner_access t u read.(i)) units in
+  let probes =
+    Array.map
+      (fun u ->
+        Array.of_list
+          (List.filter
+             (fun pr -> Config.has_index (config t) u.ju_elem pr.pr_index.Element.ix_attr)
+             u.ju_probes))
+      units
+  in
+  let half_mem = mem_pages t /. 2. in
+  let nstates = Array.length sk.sk_tuples in
+  let r_bit = sk.sk_r_bit in
+  (* DP tables.  A code's winning step is the unit that reached it and the
+     probe used ([-1]: nested-block join); a code reached by no step is a
+     start, whose predecessor is found by removing the unit's mask. *)
   let cost = Array.make nstates infinity in
-  let from = Array.make nstates (-1) in
-  let step = Array.make nstates None in
-  let start = Array.make nstates From_delta in
-  let relax code c prev st sstart =
-    if c < cost.(code) then begin
-      cost.(code) <- c;
-      from.(code) <- prev;
-      step.(code) <- st;
-      start.(code) <- sstart
-    end
-  in
-  relax r_bit (Derived.delta_pages d ~rel:r ~count:i_r) (-1) None From_delta;
+  let via_unit = Array.make nstates (-1) in
+  let via_probe = Array.make nstates (-1) in
+  cost.(r_bit) <- sk.sk_delta_pages;
+  (* Every start other than [r_bit] is a saved delta; [r_bit] itself is one
+     only when a σ-view of [r] alone beats the shipped delta. *)
+  let delta_start = ref true in
   List.iter
     (fun w ->
       if Bitset.mem r w && Bitset.proper_subset w target_set then begin
-        let code = dense_of_set w in
-        relax code (result_pages code) (-1) None (From_saved w)
+        let code = dense_of_set sk.sk_dense w in
+        if sk.sk_pages.(code) < cost.(code) then begin
+          cost.(code) <- sk.sk_pages.(code);
+          if code = r_bit then delta_start := false
+        end
       end)
-    (Config.views (config t));
+    views;
+  let n_units = Array.length units in
   for code = r_bit to nstates - 1 do
-    if code land r_bit <> 0 && cost.(code) < infinity then begin
-      let outer_tuples = count code in
-      let outer_pages = result_pages code in
-      let blocks = Float.ceil (outer_pages /. pm) in
-      List.iter
-        (fun u ->
-          if code land u.u_mask = 0 then begin
-            let next = code lor u.u_mask in
-            let base = cost.(code) in
-            relax next
-              (base +. (blocks *. u.u_inner_access))
-              code
-              (Some (u.u_elem, Nbj))
-              start.(code);
-            List.iter
-              (fun (outside_bit, matches, ix_pages, per_probe, pages, attr) ->
-                if code land outside_bit <> 0 then begin
-                  let card = Element.card d u.u_elem in
-                  let c =
-                    Yao.y_wap ~n:card ~p:ix_pages
-                      ~k:(outer_tuples *. per_probe) ~m:half_mem
-                    +. u.u_read_f
-                       *. Yao.y_wap ~n:card ~p:pages
-                            ~k:(outer_tuples *. matches) ~m:half_mem
-                  in
-                  let ix = { Element.ix_elem = u.u_elem; ix_attr = attr } in
-                  relax next (base +. c) code
-                    (Some (u.u_elem, Index_join ix))
-                    start.(code)
-                end)
-              u.u_probes
-          end)
-        units
+    let base = cost.(code) in
+    if code land r_bit <> 0 && base < infinity then begin
+      let tuples = sk.sk_tuples.(code) and blocks = sk.sk_blocks.(code) in
+      for ui = 0 to n_units - 1 do
+        let u = units.(ui) in
+        if code land u.ju_mask = 0 then begin
+          let next = code lor u.ju_mask in
+          let c = base +. (blocks *. access.(ui)) in
+          if c < cost.(next) then begin
+            cost.(next) <- c;
+            via_unit.(next) <- ui;
+            via_probe.(next) <- -1
+          end;
+          let ps = probes.(ui) in
+          for pi = 0 to Array.length ps - 1 do
+            let pr = ps.(pi) in
+            if code land pr.pr_outside <> 0 then begin
+              let c =
+                base
+                +. (Yao.y_wap ~n:u.ju_card ~p:u.ju_ix_pages
+                      ~k:(tuples *. pr.pr_per_probe) ~m:half_mem
+                   +. read.(ui)
+                      *. Yao.y_wap ~n:u.ju_card ~p:u.ju_pages
+                           ~k:(tuples *. pr.pr_matches) ~m:half_mem)
+              in
+              if c < cost.(next) then begin
+                cost.(next) <- c;
+                via_unit.(next) <- ui;
+                via_probe.(next) <- pi
+              end
+            end
+          done
+        end
+      done
     end
   done;
   let final = nstates - 1 in
   assert (cost.(final) < infinity);
   (* Reconstruct the winning update path. *)
-  let rec walk code acc =
-    match (from.(code), step.(code)) with
-    | prev, Some st when prev >= 0 -> walk prev (st :: acc)
-    | _ -> (start.(code), acc)
+  let rec walk code steps =
+    let ui = via_unit.(code) in
+    if ui < 0 then
+      let start =
+        if code = r_bit && !delta_start then From_delta
+        else From_saved sk.sk_sets.(code)
+      in
+      { ip_start = start; ip_steps = steps }
+    else
+      let u = units.(ui) in
+      let how =
+        if via_probe.(code) < 0 then Nbj
+        else Index_join probes.(ui).(via_probe.(code)).pr_index
+      in
+      walk (code lxor u.ju_mask) ((u.ju_elem, how) :: steps)
   in
-  let st, steps = walk final [] in
-  (cost.(final), { ip_start = st; ip_steps = steps })
+  (cost.(final), walk final [])
 
 let prop_ins_uncached t ~target ~rel =
   let d = t.derived in

@@ -21,7 +21,24 @@
     and index joins per Table 5.  Evaluations are memoized in a {!cache}
     keyed by the configuration restricted to the features that can influence
     the expression (see {!Config.restrict}), so search algorithms evaluating
-    many configurations share work. *)
+    many configurations share work.
+
+    [Eval] runs in two parts.  The {e skeleton} of a (target relation set,
+    delta relation) pair holds everything that does not depend on the
+    configuration: the dense subset codes, each code's delta-result tuples,
+    pages and [ceil (pages / P_m)] blocks, and every join unit's mask, size
+    and join-probe candidates (base units up front, view units on first
+    use).  It is built once per {!cache} — a cache serves one derived
+    schema — and shared by all its evaluators and domains; it is not
+    counted in {!cache_stats}.  The {e relaxation} of one configuration
+    keeps the candidates whose index exists, prices each unit's inner side
+    with its compression factor, and relaxes the subset DP over arrays,
+    building the plan once at the end.  The split is exact: every cost is
+    the same float expression, evaluated in the same order with the same
+    strict-[<] tie order (nested-block join before index probes; base units
+    in descending relation order, then the configuration's views), so
+    costs and plans are bit-identical to a single-pass DP whether the
+    skeleton is fresh or reused, at any [--jobs]. *)
 
 type cache
 

@@ -552,8 +552,40 @@ let check_maintenance_cycle cx schema =
    structurally-keyed shared cache fed the same walk must see exactly the
    same misses and entries: the two keyings promise the same cache-hit
    equivalence classes, so a key that is too coarse (collisions, wrong
-   totals) or too fine (lost sharing) both show up here.  A*'s optimum is
-   then re-costed the same way. *)
+   totals) or too fine (lost sharing) both show up here.  Every
+   insertion-propagation result along the walk — [p_eval] bits and the
+   winning plan — must match a fresh structural evaluator too, which checks
+   that the [Eval] skeletons the shared cache keeps are reused across
+   configurations without leaking one configuration's choices into
+   another's.  A*'s optimum is then re-costed the same way. *)
+
+(* The first (element, relation) whose insertion propagation differs
+   between two evaluators of the same configuration, if any. *)
+let ins_mismatch schema a b =
+  let differs target r =
+    let pa, plan_a = Cost.prop_ins a ~target ~rel:r in
+    let pb, plan_b = Cost.prop_ins b ~target ~rel:r in
+    if
+      Int64.equal
+        (Int64.bits_of_float pa.Cost.p_eval)
+        (Int64.bits_of_float pb.Cost.p_eval)
+      && plan_a = plan_b
+    then None
+    else
+      let plan = Cost.pp_ins_plan schema ~target ~rel:r in
+      Some
+        (Format.asprintf "%s rel %d: eval %h plan %a, fresh eval %h plan %a"
+           (Vis_costmodel.Element.name schema target)
+           r pa.Cost.p_eval plan plan_a pb.Cost.p_eval plan plan_b)
+  in
+  List.find_map
+    (fun target ->
+      Bitset.fold
+        (fun r found ->
+          match found with Some _ -> found | None -> differs target r)
+        (Vis_costmodel.Element.rels target)
+        None)
+    (Cost.maintained_elements b)
 
 let fast_vs_slow ~compression cx schema =
   let p = Problem.make ~compression schema in
@@ -579,7 +611,13 @@ let fast_vs_slow ~compression cx schema =
           fail "mask-keyed total %.17g / shared structural %.17g differ from \
                 fresh structural %.17g"
             masked shared fresh
-        else walk config' (steps - 1)
+        else
+          match
+            ins_mismatch schema (Problem.evaluator p config')
+              (Cost.create derived config')
+          with
+          | Some m -> fail "mask-keyed propagation differs: %s" m
+          | None -> walk config' (steps - 1)
     in
     match walk Config.empty 16 with
     | (Fail _ | Skip _) as r -> r

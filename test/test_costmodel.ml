@@ -495,6 +495,352 @@ let test_masked_vs_structural_totals () =
       done)
     [ Schemas.two_relation (); Schemas.schema1 (); Schemas.chain ~n:4 () ]
 
+(* ------------------------------------------------------------------ *)
+(* Reference [Eval]: a naive transcription of the Appendix-A insertion DP
+   that rebuilds every join unit per call, filters the candidate indexes
+   inline and keeps the winning step as an option.  The evaluator, which
+   splits the DP into a cached configuration-independent skeleton and a
+   per-configuration relaxation, must agree with it bit for bit — cost and
+   plan, including the tie order (nested-block join before index probes,
+   units in the order built here). *)
+
+let ref_read_f config e =
+  if Config.has_compress config e then Cost.compress_read_factor else 1.
+
+let ref_inner_access d config unit =
+  let s = Derived.schema d in
+  let rf = ref_read_f config unit in
+  let scan = rf *. Element.pages d unit in
+  match unit with
+  | Element.View _ -> scan
+  | Element.Base i ->
+      let sel_attrs = Schema.selection_attrs s i in
+      if sel_attrs = [] then scan
+      else begin
+        let card = Derived.base_card d i in
+        let pages = Derived.base_pages d i in
+        let shape = Derived.index_shape d ~entries:card in
+        let matching = Derived.eff_card d i in
+        let via_index attr_name =
+          let attr = { Element.a_rel = i; a_name = attr_name } in
+          if Config.has_index config unit attr then
+            Some
+              (float_of_int (shape.Derived.ix_height - 1)
+              +. Vis_util.Num.fceil
+                   (shape.Derived.ix_pages *. matching /. Float.max card 1e-9)
+              +. rf
+                 *. Yao.y_wap ~n:card ~p:pages ~k:matching
+                      ~m:(float_of_int s.Schema.mem_pages))
+          else None
+        in
+        List.fold_left
+          (fun best a ->
+            match via_index a with Some c -> Float.min best c | None -> best)
+          scan sel_attrs
+      end
+
+let ref_eval_ins d config target_set r =
+  let s = Derived.schema d in
+  let i_r = (Schema.delta s r).Schema.n_ins in
+  let scale = i_r /. Derived.base_card d r in
+  let pm = float_of_int s.Schema.mem_pages in
+  let half_mem = pm /. 2. in
+  let positions = Array.of_list (Bitset.elements target_set) in
+  let nstates = 1 lsl Array.length positions in
+  let bit_of_rel rel =
+    let rec find b = if positions.(b) = rel then b else find (b + 1) in
+    find 0
+  in
+  let dense_of_set set =
+    Bitset.fold (fun rel acc -> acc lor (1 lsl bit_of_rel rel)) set 0
+  in
+  let set_of_code code =
+    let set = ref Bitset.empty in
+    Array.iteri
+      (fun b rel -> if code land (1 lsl b) <> 0 then set := Bitset.add rel !set)
+      positions;
+    !set
+  in
+  let count code = Derived.view_card d (set_of_code code) *. scale in
+  let result_pages code =
+    Derived.pages_of_tuples d ~set:(set_of_code code) ~tuples:(count code)
+  in
+  let r_bit = 1 lsl bit_of_rel r in
+  let make_unit elem =
+    let urels = Element.rels elem in
+    let probes =
+      List.filter_map
+        (fun (j : Schema.join) ->
+          let inside =
+            if
+              Bitset.mem j.Schema.left_rel urels
+              && (not (Bitset.mem j.Schema.right_rel urels))
+              && Bitset.mem j.Schema.right_rel target_set
+            then
+              Some
+                ( { Element.a_rel = j.Schema.left_rel; a_name = j.Schema.left_attr },
+                  j.Schema.right_rel )
+            else if
+              Bitset.mem j.Schema.right_rel urels
+              && (not (Bitset.mem j.Schema.left_rel urels))
+              && Bitset.mem j.Schema.left_rel target_set
+            then
+              Some
+                ( { Element.a_rel = j.Schema.right_rel; a_name = j.Schema.right_attr },
+                  j.Schema.left_rel )
+            else None
+          in
+          match inside with
+          | Some (attr, outside_rel) when Config.has_index config elem attr ->
+              let card = Element.card d elem in
+              let shape = Derived.index_shape d ~entries:card in
+              let matches = card *. j.Schema.join_sel in
+              let per_probe =
+                float_of_int (max 0 (shape.Derived.ix_height - 2))
+                +. Vis_util.Num.fceil
+                     (shape.Derived.ix_pages *. matches /. Float.max card 1e-9)
+              in
+              Some
+                ( 1 lsl bit_of_rel outside_rel,
+                  matches,
+                  shape.Derived.ix_pages,
+                  per_probe,
+                  Element.pages d elem,
+                  attr )
+          | _ -> None)
+        s.Schema.joins
+    in
+    ( elem,
+      dense_of_set urels,
+      ref_inner_access d config elem,
+      ref_read_f config elem,
+      probes )
+  in
+  let units =
+    Bitset.fold
+      (fun i acc -> if i = r then acc else make_unit (Element.Base i) :: acc)
+      target_set []
+    @ List.filter_map
+        (fun w ->
+          if Bitset.subset w target_set && not (Bitset.mem r w) then
+            Some (make_unit (Element.View w))
+          else None)
+        (Config.views config)
+  in
+  let cost = Array.make nstates infinity in
+  let from = Array.make nstates (-1) in
+  let step = Array.make nstates None in
+  let start = Array.make nstates Cost.From_delta in
+  let relax code c prev st sstart =
+    if c < cost.(code) then begin
+      cost.(code) <- c;
+      from.(code) <- prev;
+      step.(code) <- st;
+      start.(code) <- sstart
+    end
+  in
+  relax r_bit (Derived.delta_pages d ~rel:r ~count:i_r) (-1) None Cost.From_delta;
+  List.iter
+    (fun w ->
+      if Bitset.mem r w && Bitset.proper_subset w target_set then
+        let code = dense_of_set w in
+        relax code (result_pages code) (-1) None (Cost.From_saved w))
+    (Config.views config);
+  for code = r_bit to nstates - 1 do
+    if code land r_bit <> 0 && cost.(code) < infinity then begin
+      let outer_tuples = count code in
+      let blocks = Float.ceil (result_pages code /. pm) in
+      List.iter
+        (fun (elem, mask, inner_access, rf, probes) ->
+          if code land mask = 0 then begin
+            let next = code lor mask in
+            let base = cost.(code) in
+            relax next (base +. (blocks *. inner_access)) code
+              (Some (elem, Cost.Nbj)) start.(code);
+            List.iter
+              (fun (outside_bit, matches, ix_pages, per_probe, pages, attr) ->
+                if code land outside_bit <> 0 then begin
+                  let card = Element.card d elem in
+                  let c =
+                    Yao.y_wap ~n:card ~p:ix_pages
+                      ~k:(outer_tuples *. per_probe) ~m:half_mem
+                    +. rf
+                       *. Yao.y_wap ~n:card ~p:pages
+                            ~k:(outer_tuples *. matches) ~m:half_mem
+                  in
+                  let ix = { Element.ix_elem = elem; ix_attr = attr } in
+                  relax next (base +. c) code
+                    (Some (elem, Cost.Index_join ix))
+                    start.(code)
+                end)
+              probes
+          end)
+        units
+    end
+  done;
+  let final = nstates - 1 in
+  let rec walk code acc =
+    match (from.(code), step.(code)) with
+    | prev, Some st when prev >= 0 -> walk prev (st :: acc)
+    | _ -> (start.(code), acc)
+  in
+  let st, steps = walk final [] in
+  (cost.(final), { Cost.ip_start = st; ip_steps = steps })
+
+(* [p_eval] and plan of [prop_ins] by the reference DP. *)
+let ref_prop_ins_eval d config target r =
+  let i_r = (Schema.delta (Derived.schema d) r).Schema.n_ins in
+  let no_steps = { Cost.ip_start = Cost.From_delta; ip_steps = [] } in
+  if i_r <= 0. then (0., no_steps)
+  else
+    match target with
+    | Element.Base _ -> (Derived.delta_pages d ~rel:r ~count:i_r, no_steps)
+    | Element.View set -> ref_eval_ins d config set r
+
+(* What the comparisons covered, so a test can insist its configurations
+   reached every path of the DP. *)
+type ref_coverage = {
+  mutable compared : int;
+  mutable saved_starts : int;
+  mutable index_joins : int;
+  mutable compressed_units : int;
+}
+
+let new_coverage () =
+  { compared = 0; saved_starts = 0; index_joins = 0; compressed_units = 0 }
+
+let check_against_reference cov label d config eval =
+  List.iter
+    (fun target ->
+      Bitset.iter
+        (fun r ->
+          let p, plan = Cost.prop_ins eval ~target ~rel:r in
+          let ref_cost, ref_plan = ref_prop_ins_eval d config target r in
+          if
+            not
+              (Int64.equal
+                 (Int64.bits_of_float p.Cost.p_eval)
+                 (Int64.bits_of_float ref_cost))
+          then
+            Alcotest.failf "%s: %s rel %d: p_eval %h, reference %h" label
+              (Element.name (Derived.schema d) target)
+              r p.Cost.p_eval ref_cost;
+          if plan <> ref_plan then
+            Alcotest.failf "%s: %s rel %d: plan %a, reference %a" label
+              (Element.name (Derived.schema d) target)
+              r
+              (Cost.pp_ins_plan (Derived.schema d) ~target ~rel:r)
+              plan
+              (Cost.pp_ins_plan (Derived.schema d) ~target ~rel:r)
+              ref_plan;
+          cov.compared <- cov.compared + 1;
+          (match plan.Cost.ip_start with
+          | Cost.From_saved _ -> cov.saved_starts <- cov.saved_starts + 1
+          | Cost.From_delta -> ());
+          List.iter
+            (fun (unit, how) ->
+              (match how with
+              | Cost.Index_join _ -> cov.index_joins <- cov.index_joins + 1
+              | Cost.Nbj -> ());
+              if Config.has_compress config unit then
+                cov.compressed_units <- cov.compressed_units + 1)
+            plan.Cost.ip_steps)
+        (Element.rels target))
+    (Cost.maintained_elements eval)
+
+(* Walk [steps] configurations of [p] by random feature toggles; compare each
+   through a fresh evaluator and through the problem's shared cache, which
+   stays warm along the walk so skeletons are reused across
+   configurations. *)
+let walk_against_reference cov ~label ~rng ~steps ~toggles p =
+  let features = Array.of_list p.Problem.features in
+  let d = p.Problem.derived in
+  let config = ref Config.empty in
+  for step = 1 to steps do
+    for _ = 1 to toggles do
+      let f = features.(Random.State.int rng (Array.length features)) in
+      if Problem.has_feature !config f then config := Problem.drop_feature !config f
+      else if Problem.applicable p !config f then
+        config := Problem.add_feature !config f
+    done;
+    let label = Printf.sprintf "%s step %d" label step in
+    check_against_reference cov (label ^ " fresh") d !config
+      (Cost.create d !config);
+    check_against_reference cov (label ^ " shared") d !config
+      (Problem.evaluator p !config)
+  done
+
+let require_coverage cov =
+  checkb "compared some expressions" true (cov.compared > 0);
+  checkb "saved-delta starts reached" true (cov.saved_starts > 0);
+  checkb "index joins reached" true (cov.index_joins > 0);
+  checkb "compressed units reached" true (cov.compressed_units > 0)
+
+let test_reference_table2 () =
+  let cov = new_coverage () in
+  let rng = Random.State.make [| 23 |] in
+  List.iter
+    (fun (label, schema) ->
+      walk_against_reference cov ~label ~rng ~steps:40 ~toggles:2
+        (Problem.make ~compression:true schema))
+    [
+      ("2 rel, 1 sel", Schemas.two_relation ());
+      ("2 rel, sel 50%", Schemas.two_relation ~sel_s:0.5 ());
+      ("3 rel (S1) no del", Schemas.schema1 ~del_frac:0. ());
+      ("3 rel Schema 1", Schemas.schema1 ());
+      ("3 rel Schema 2", Schemas.schema2 ());
+      ("4 rel chain", Schemas.chain ~n:4 ());
+    ];
+  require_coverage cov
+
+let test_reference_random () =
+  let cov = new_coverage () in
+  for seed = 1 to 40 do
+    let rng = Random.State.make [| seed |] in
+    let schema = Schemas.random ~rng () in
+    walk_against_reference cov ~label:(Printf.sprintf "random seed %d" seed)
+      ~rng ~steps:8 ~toggles:3
+      (Problem.make ~compression:true schema)
+  done;
+  require_coverage cov
+
+let test_reference_star6 () =
+  let cov = new_coverage () in
+  let rng = Random.State.make [| 31 |] in
+  let p =
+    Problem.make ~max_view_rels:3 ~compression:true (Schemas.star ~n_dims:6 ())
+  in
+  walk_against_reference cov ~label:"star-6" ~rng ~steps:12 ~toggles:12 p;
+  require_coverage cov
+
+(* Small relations and a small buffer push the Table 5 costs onto integer
+   page counts, where a nested-block join and an index probe can cost
+   exactly the same; the winner must then be the one relaxed first. *)
+let test_reference_ties () =
+  let cov = new_coverage () in
+  let rng = Random.State.make [| 37 |] in
+  let two card_r card_s mem_pages ins_frac =
+    ( Printf.sprintf "R %g S %g mem %d ins %g" card_r card_s mem_pages ins_frac,
+      Schemas.two_relation ~card_r ~card_s ~sel_s:0.5 ~ins_frac ~mem_pages () )
+  in
+  let chain base_card mem_pages ins_frac =
+    ( Printf.sprintf "chain-3 %g mem %d ins %g" base_card mem_pages ins_frac,
+      Schemas.chain ~n:3 ~base_card ~ins_frac ~mem_pages () )
+  in
+  List.iter
+    (fun (label, schema) ->
+      walk_against_reference cov ~label ~rng ~steps:30 ~toggles:2
+        (Problem.make ~compression:true schema))
+    [
+      two 30_000. 50. 2 0.01;
+      two 100. 200. 2 0.01;
+      two 10_000. 50. 3 0.05;
+      two 3_000. 100. 4 0.2;
+      chain 50. 4 0.01;
+      chain 500. 8 0.1;
+    ];
+  require_coverage cov
+
 let () =
   let qt = List.map QCheck_alcotest.to_alcotest in
   Alcotest.run "vis_costmodel"
@@ -555,5 +901,12 @@ let () =
         [
           Alcotest.test_case "fast = slow, bitwise" `Quick
             test_masked_vs_structural_totals;
+        ] );
+      ( "reference DP",
+        [
+          Alcotest.test_case "table 2 schemas" `Quick test_reference_table2;
+          Alcotest.test_case "random schemas" `Quick test_reference_random;
+          Alcotest.test_case "star-6 views <= 3" `Quick test_reference_star6;
+          Alcotest.test_case "cost ties" `Quick test_reference_ties;
         ] );
     ]

@@ -375,6 +375,87 @@ let test_cache_bounded_concurrent () =
   let s = Cost.cache_stats cache in
   checkb "capacity respected under contention" true (s.Cost.cs_entries <= 8)
 
+(* The [Eval] skeletons a derivation builds on first use sit in the shared
+   cache too.  Four domains that request the same skeletons at once — every
+   configuration is claimed by four consecutive tasks — must return totals
+   bit-identical to a sequential run, whichever copy of a skeleton won. *)
+let test_skeletons_concurrent () =
+  List.iter
+    (fun (name, mk) ->
+      let p = mk () in
+      let features = Array.of_list p.Problem.features in
+      let rng = Random.State.make [| 5 |] in
+      let configs =
+        Array.init 12 (fun _ ->
+            let config = ref Config.empty in
+            for _ = 1 to 2 * Array.length features do
+              let f = features.(Random.State.int rng (Array.length features)) in
+              if Problem.applicable p !config f then
+                config := Problem.add_feature !config f
+            done;
+            !config)
+      in
+      let sequential =
+        Array.map (fun c -> Cost.total_of p.Problem.derived c) configs
+      in
+      let shared = mk () in
+      let totals =
+        Parallel.with_pool ~jobs:4 (fun pool ->
+            Parallel.map_array ~chunk:1 pool
+              (fun i -> Problem.total shared configs.(i / 4))
+              (Array.init (4 * Array.length configs) Fun.id))
+      in
+      Array.iteri
+        (fun i t ->
+          checkb
+            (Printf.sprintf "%s: config %d bit-identical" name (i / 4))
+            true
+            (Int64.equal (Int64.bits_of_float t)
+               (Int64.bits_of_float sequential.(i / 4))))
+        totals)
+    [
+      ("star-4 views <= 3 (packed)", fun () ->
+        Problem.make ~max_view_rels:3 (Schemas.star ~n_dims:4 ()));
+      ("star-6 views <= 3 (structural)", fun () ->
+        Problem.make ~max_view_rels:3 (Schemas.star ~n_dims:6 ()));
+    ]
+
+(* A jobs-1 search performs a fixed sequence of memo lookups; the counters
+   are pinned, so a change to the cost model's memoization (or a skeleton
+   lookup leaking into the counters) shows up here. *)
+let test_cache_stats_pinned () =
+  let check name p (hits, misses, entries) =
+    let s = Cost.cache_stats p.Problem.cache in
+    checki (name ^ ": hits") hits s.Cost.cs_hits;
+    checki (name ^ ": misses") misses s.Cost.cs_misses;
+    checki (name ^ ": entries") entries s.Cost.cs_entries
+  in
+  let p = Problem.make (Schemas.schema1 ()) in
+  ignore (Astar.search ~jobs:1 p);
+  check "schema1 A*" p (17660, 4558, 4558);
+  let p = Problem.make ~max_view_rels:3 (Schemas.star ~n_dims:6 ()) in
+  ignore (Astar.search_budgeted ~max_expanded:200 ~beam:64 ~jobs:1 p);
+  check "star-6 budgeted A*" p (208131, 54734, 54734)
+
+(* Domains that miss the same key both store it.  A bounded cache must
+   treat the second store as a replacement: queueing the key twice would
+   evict for nothing and later let the stale copy remove a live entry or
+   skip a needed eviction, so the cache would end off its capacity.  At
+   capacity 16 every stripe holds one entry, where a duplicate only evicts
+   itself; capacity 64 (four per stripe) is where a duplicate does harm. *)
+let test_bounded_cache_full_under_search () =
+  List.iter
+    (fun capacity ->
+      let p = Problem.make ~max_view_rels:3 (Schemas.star ~n_dims:6 ()) in
+      let p = { p with Problem.cache = Cost.new_cache ~capacity () } in
+      ignore (Astar.search_budgeted ~max_expanded:200 ~beam:64 ~jobs:4 p);
+      let s = Cost.cache_stats p.Problem.cache in
+      let label what = Printf.sprintf "capacity %d: %s" capacity what in
+      checkb (label "far more misses than capacity") true
+        (s.Cost.cs_misses > 100 * capacity);
+      checki (label "cache exactly full") capacity s.Cost.cs_entries)
+    [ 16; 64 ]
+
 let () =
   let qt = List.map QCheck_alcotest.to_alcotest in
   Alcotest.run "vis_parallel"
@@ -420,5 +501,11 @@ let () =
             test_cache_cold_concurrent;
           Alcotest.test_case "bounded cache capacity" `Quick
             test_cache_bounded_concurrent;
+          Alcotest.test_case "skeletons built concurrently" `Quick
+            test_skeletons_concurrent;
+          Alcotest.test_case "jobs-1 counters pinned" `Quick
+            test_cache_stats_pinned;
+          Alcotest.test_case "bounded cache full under search" `Quick
+            test_bounded_cache_full_under_search;
         ] );
     ]
