@@ -49,7 +49,10 @@ let nested_block_join ~outer ~outer_offset ~block_tuples ~inner ~inner_offset
         List.iter
           (fun tuple -> Hashtbl.add hash tuple.(outer_offset) tuple)
           block;
-        Heap_file.scan (Table.heap inner) ~f:(fun _ inner_tuple ->
+        (* Inner tuples without a partner in the block are never copied
+           out of the arena. *)
+        Heap_file.scan_where (Table.heap inner) ~attr:inner_offset
+          ~keep:(Hashtbl.mem hash) ~f:(fun _ inner_tuple ->
             List.iter
               (fun outer_tuple ->
                 let out = combine outer_tuple inner_tuple in
@@ -102,8 +105,8 @@ let locate_by_scan t ~offset ~keys =
   let set = Hashtbl.create (2 * List.length keys) in
   List.iter (fun k -> Hashtbl.replace set k ()) keys;
   let acc = ref [] in
-  Heap_file.scan (Table.heap t) ~f:(fun rid tuple ->
-      if Hashtbl.mem set tuple.(offset) then acc := (rid, tuple) :: !acc);
+  Heap_file.scan_where (Table.heap t) ~attr:offset ~keep:(Hashtbl.mem set)
+    ~f:(fun rid tuple -> acc := (rid, tuple) :: !acc);
   List.rev !acc
 
 let locate_by_index t ~offset ~keys =

@@ -1,8 +1,14 @@
 (* A growable off-heap word store backed by a [Bigarray].  The arena is the
    backing memory of a heap file's pages: fixed-size page blocks are carved
    out of one flat array of native ints living outside the OCaml heap, so
-   tuple data puts no pressure on the GC and a page is a zero-copy slice
-   (offset + length) rather than an allocation.
+   tuple data puts no pressure on the GC and a page is a block (offset +
+   length) rather than an allocation.
+
+   Word loops do not call [get] per word: under dune's dev profile every
+   module is compiled [-opaque], so a cross-module [get] is an out-of-line
+   call.  A loop instead takes [words t] once, checks its window once, and
+   indexes the [Bigarray] with its primitives, which are inlined in any
+   module.
 
    Blocks are handed out bump-pointer style and released strictly LIFO
    (only the tail block can be dropped) — exactly the discipline of heap
@@ -59,9 +65,9 @@ let get t off = Bigarray.Array1.get t.data off
 
 let set t off v = Bigarray.Array1.set t.data off v
 
-(* A zero-copy window onto the block at [off]: writes through the slice are
-   writes to the arena. *)
-let slice t ~off ~len : words = Bigarray.Array1.sub t.data off len
+let words t = t.data
+
+let in_use t ~off ~len = off >= 0 && len >= 0 && off <= t.used - len
 
 let blit_from_array t ~off (src : int array) =
   for i = 0 to Array.length src - 1 do
@@ -69,4 +75,13 @@ let blit_from_array t ~off (src : int array) =
   done
 
 let to_array t ~off ~len =
-  Array.init len (fun i -> Bigarray.Array1.get t.data (off + i))
+  if not (in_use t ~off ~len) then invalid_arg "Arena.to_array";
+  if len = 0 then [||]
+  else begin
+    let d = t.data in
+    let a = Array.make len (Bigarray.Array1.unsafe_get d off) in
+    for i = 1 to len - 1 do
+      Array.unsafe_set a i (Bigarray.Array1.unsafe_get d (off + i))
+    done;
+    a
+  end

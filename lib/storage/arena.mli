@@ -2,8 +2,7 @@
     the backing memory of {!Heap_file} pages.
 
     Tuple data lives outside the OCaml heap: a page is a fixed-size block of
-    words carved out of the arena, addressed by offset, and {!slice} hands
-    out a zero-copy window rather than copying.  Blocks are allocated
+    words carved out of the arena, addressed by offset.  Blocks are allocated
     bump-pointer style and released strictly LIFO ({!release} drops the tail
     block only), matching how heap files grow and how [truncate_last] undoes
     the append that grew a page. *)
@@ -31,13 +30,20 @@ val get : t -> int -> int
 
 val set : t -> int -> int -> unit
 
-(** [slice t ~off ~len] is a zero-copy window: reads and writes through it go
-    straight to the arena's memory. *)
-val slice : t -> off:int -> len:int -> words
+(** [words t] is the backing array itself, for word loops that index it
+    with the [Bigarray.Array1] primitives (inlined in every module, unlike a
+    call to {!get}).  Valid until the arena next grows ({!alloc}); a loop
+    checks its window against {!in_use} once and then indexes freely. *)
+val words : t -> words
+
+(** [in_use t ~off ~len] — whether [[off, off + len)] lies inside the words
+    handed out. *)
+val in_use : t -> off:int -> len:int -> bool
 
 (** [blit_from_array t ~off src] copies [src] into the arena at [off]. *)
 val blit_from_array : t -> off:int -> int array -> unit
 
 (** [to_array t ~off ~len] materializes a block as a fresh [int array] (for
-    callers that need an OCaml-heap tuple). *)
+    callers that need an OCaml-heap tuple).  Raises
+    [Invalid_argument "Arena.to_array"] when the window is not {!in_use}. *)
 val to_array : t -> off:int -> len:int -> int array

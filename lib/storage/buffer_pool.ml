@@ -1,4 +1,13 @@
-(* LRU as a doubly-linked list threaded through a hashtable of frames.
+(* LRU over a fixed table of frame slots.  A frame is a slot index into
+   int arrays (page, pins, and the [prev]/[next] links of the recency list)
+   and a [Bytes] of dirty flags; free slots are chained through [next].  An
+   open-addressing table maps a resident page to its slot.  Nothing is
+   allocated per access, and the whole structure is sized by the frames in
+   use: [capacity] slots, grown only when every frame is pinned and a page
+   must be admitted past capacity.  The page table is keyed by gid rather
+   than indexed by it on purpose — gids are never reused (every staged
+   batch allocates fresh pages), so a gid-indexed table would grow with
+   every page the process ever allocates.
 
    Every physical operation — read on miss, write on dirty eviction or
    write-back, page allocation — consults the pool's fault plan *before*
@@ -7,13 +16,7 @@
    what lets the maintenance layer treat a fault as "the device refused"
    rather than "the device is now in an unknown state". *)
 
-type frame = {
-  page : int;
-  mutable dirty : bool;
-  mutable pins : int;
-  mutable prev : frame option;  (* towards most recently used *)
-  mutable next : frame option;  (* towards least recently used *)
-}
+let nil = -1
 
 (* The pool holds no page contents, so checksums and corruption are
    delegated to the structure that owns each page's payload: it registers
@@ -39,9 +42,22 @@ let cs_span = 512
 type t = {
   cap : int;
   io : Iostats.t;
-  frames : (int, frame) Hashtbl.t;
-  mutable mru : frame option;
-  mutable lru : frame option;
+  (* Frame slots: [fpage.(i)] is the resident page ([nil] when free), [prev]
+     points towards the most recently used frame and [next] towards the
+     least (or to the next free slot). *)
+  mutable fpage : int array;
+  mutable fdirty : Bytes.t;
+  mutable fpins : int array;
+  mutable prev : int array;
+  mutable next : int array;
+  mutable free : int;
+  mutable resident_frames : int;
+  mutable mru : int;
+  mutable lru : int;
+  (* Page table: linear probing over a power-of-two array at most half
+     full; [pkey] holds gids ([nil] = empty), [pslot] their frame slots. *)
+  mutable pkey : int array;
+  mutable pslot : int array;
   mutable next_page : int;
   mutable plan : Faults.t;
   hooks : (int, page_hooks) Hashtbl.t;
@@ -50,14 +66,25 @@ type t = {
   cs_pages : (int, int) Hashtbl.t;  (* gid / cs_span -> checksum-page gid *)
 }
 
+let rec pow2_above n k = if k >= n then k else pow2_above n (2 * k)
+
 let create ~capacity ~stats =
   if capacity < 1 then invalid_arg "Buffer_pool.create: capacity < 1";
+  let tsize = pow2_above (2 * capacity) 8 in
   {
     cap = capacity;
     io = stats;
-    frames = Hashtbl.create (2 * capacity);
-    mru = None;
-    lru = None;
+    fpage = Array.make capacity nil;
+    fdirty = Bytes.make capacity '\000';
+    fpins = Array.make capacity 0;
+    prev = Array.make capacity nil;
+    next = Array.init capacity (fun i -> if i + 1 < capacity then i + 1 else nil);
+    free = 0;
+    resident_frames = 0;
+    mru = nil;
+    lru = nil;
+    pkey = Array.make tsize nil;
+    pslot = Array.make tsize nil;
     next_page = 0;
     plan = Faults.none ();
     hooks = Hashtbl.create 64;
@@ -65,6 +92,92 @@ let create ~capacity ~stats =
     quarantine = Hashtbl.create 8;
     cs_pages = Hashtbl.create 8;
   }
+
+(* --- Page table ------------------------------------------------------- *)
+
+(* Multiplicative hashing: gids are dense and sequential, so multiply by an
+   odd constant and keep middle bits to spread strided runs over the
+   table. *)
+let home t page = (page * 0x1E3779B97F4A7C15) lsr 20 land (Array.length t.pkey - 1)
+
+(* Position of [page] in the table, or of the empty cell ending its run. *)
+let rec probe t page i =
+  let k = t.pkey.(i) in
+  if k = page || k = nil then i
+  else probe t page ((i + 1) land (Array.length t.pkey - 1))
+
+(* Slot of a resident page, or [nil]. *)
+let find t page =
+  let i = probe t page (home t page) in
+  if t.pkey.(i) = nil then nil else t.pslot.(i)
+
+let table_add t page slot =
+  let i = probe t page (home t page) in
+  t.pkey.(i) <- page;
+  t.pslot.(i) <- slot
+
+(* Backward-shift deletion: after emptying position [i], pull later
+   entries of the probe run back into the hole when their home position
+   allows it, so lookups never need tombstones. *)
+let table_remove t page =
+  let mask = Array.length t.pkey - 1 in
+  let i = probe t page (home t page) in
+  if t.pkey.(i) <> nil then begin
+    let hole = ref i in
+    let j = ref ((i + 1) land mask) in
+    while t.pkey.(!j) <> nil do
+      let h = home t t.pkey.(!j) in
+      (* Entry [j] may move into the hole unless its home lies cyclically in
+         (hole, j]. *)
+      let stays =
+        if !hole <= !j then h > !hole && h <= !j else h > !hole || h <= !j
+      in
+      if not stays then begin
+        t.pkey.(!hole) <- t.pkey.(!j);
+        t.pslot.(!hole) <- t.pslot.(!j);
+        hole := !j
+      end;
+      j := (!j + 1) land mask
+    done;
+    t.pkey.(!hole) <- nil;
+    t.pslot.(!hole) <- nil
+  end
+
+(* --- Frame slots ------------------------------------------------------ *)
+
+(* Double the slot arrays and rehash the page table (only reached when
+   every frame is pinned and a page is admitted past capacity). *)
+let grow_frames t =
+  let n = Array.length t.fpage in
+  let n' = 2 * n in
+  let extend a fill =
+    let b = Array.make n' fill in
+    Array.blit a 0 b 0 n;
+    b
+  in
+  t.fpage <- extend t.fpage nil;
+  t.fpins <- extend t.fpins 0;
+  t.prev <- extend t.prev nil;
+  t.next <- extend t.next nil;
+  let d = Bytes.make n' '\000' in
+  Bytes.blit t.fdirty 0 d 0 n;
+  t.fdirty <- d;
+  for i = n to n' - 2 do
+    t.next.(i) <- i + 1
+  done;
+  t.next.(n' - 1) <- t.free;
+  t.free <- n;
+  let tsize = pow2_above (2 * n') 8 in
+  if tsize > Array.length t.pkey then begin
+    let keys = t.pkey and slots = t.pslot in
+    t.pkey <- Array.make tsize nil;
+    t.pslot <- Array.make tsize nil;
+    Array.iteri (fun i k -> if k <> nil then table_add t k slots.(i)) keys
+  end
+
+let dirty t f = Bytes.unsafe_get t.fdirty f <> '\000'
+
+let set_dirty t f d = Bytes.set t.fdirty f (if d then '\001' else '\000')
 
 let capacity t = t.cap
 
@@ -83,30 +196,46 @@ let fresh_page t =
   id
 
 let unlink t f =
-  (match f.prev with
-  | Some p -> p.next <- f.next
-  | None -> t.mru <- f.next);
-  (match f.next with
-  | Some n -> n.prev <- f.prev
-  | None -> t.lru <- f.prev);
-  f.prev <- None;
-  f.next <- None
+  let p = t.prev.(f) and n = t.next.(f) in
+  if p = nil then t.mru <- n else t.next.(p) <- n;
+  if n = nil then t.lru <- p else t.prev.(n) <- p;
+  t.prev.(f) <- nil;
+  t.next.(f) <- nil
 
 let push_front t f =
-  f.next <- t.mru;
-  f.prev <- None;
-  (match t.mru with Some m -> m.prev <- Some f | None -> ());
-  t.mru <- Some f;
-  if t.lru = None then t.lru <- Some f
+  t.next.(f) <- t.mru;
+  t.prev.(f) <- nil;
+  if t.mru <> nil then t.prev.(t.mru) <- f;
+  t.mru <- f;
+  if t.lru = nil then t.lru <- f
 
-(* Least recently used unpinned frame, or [None] when every frame is
+(* Take frame [f] out of the pool: off the recency list, out of the page
+   table, and its slot back on the free list. *)
+let drop t f =
+  unlink t f;
+  table_remove t t.fpage.(f);
+  t.fpage.(f) <- nil;
+  t.next.(f) <- t.free;
+  t.free <- f;
+  t.resident_frames <- t.resident_frames - 1
+
+let admit t page ~dirty =
+  if t.free = nil then grow_frames t;
+  let f = t.free in
+  t.free <- t.next.(f);
+  t.fpage.(f) <- page;
+  set_dirty t f dirty;
+  t.fpins.(f) <- 0;
+  table_add t page f;
+  t.resident_frames <- t.resident_frames + 1;
+  push_front t f
+
+(* Least recently used unpinned frame, or [nil] when every frame is
    pinned (the pool then grows past capacity rather than evicting). *)
-let victim t =
-  let rec up = function
-    | None -> None
-    | Some f -> if f.pins = 0 then Some f else up f.prev
-  in
-  up t.lru
+let rec victim_from t f =
+  if f = nil || t.fpins.(f) = 0 then f else victim_from t t.prev.(f)
+
+let victim t = victim_from t t.lru
 
 (* Update the stored checksum from the payload about to hit the device.
    Side-table only: the checksum piggybacks on the page write itself, so
@@ -142,33 +271,29 @@ let wrote t page =
              })
 
 let evict t f =
-  unlink t f;
-  Hashtbl.remove t.frames f.page;
+  let page = t.fpage.(f) and was_dirty = dirty t f in
+  drop t f;
   Iostats.record_pool_eviction t.io;
-  if f.dirty then begin
+  if was_dirty then begin
     Iostats.record_write t.io;
-    wrote t f.page
+    wrote t page
   end
 
-let insert_resident t page ~dirty ~count_read =
+let insert_resident t page ~dirty:d ~count_read =
   (* Pick the eviction victim first so its write fault (if any) fires before
      we count the read or mutate anything. *)
-  let at_capacity = Hashtbl.length t.frames >= t.cap in
-  let v = if at_capacity then victim t else None in
-  (match v with
-  | Some f when f.dirty -> Faults.check t.plan Faults.Write ~page:f.page
-  | _ -> ());
+  let at_capacity = t.resident_frames >= t.cap in
+  let v = if at_capacity then victim t else nil in
+  if v <> nil && dirty t v then Faults.check t.plan Faults.Write ~page:t.fpage.(v);
   if count_read then begin
     Faults.check t.plan Faults.Read ~page;
     Iostats.record_read t.io
   end;
   Iostats.record_pool_miss t.io;
   (* Every resident frame pinned: admit past capacity instead of evicting. *)
-  if at_capacity && v = None then Iostats.record_pool_overflow t.io;
-  (match v with Some f -> evict t f | None -> ());
-  let f = { page; dirty; pins = 0; prev = None; next = None } in
-  Hashtbl.replace t.frames page f;
-  push_front t f
+  if at_capacity && v = nil then Iostats.record_pool_overflow t.io;
+  if v <> nil then evict t v;
+  admit t page ~dirty:d
 
 (* Read-path verification of a protected page that was just miss-read.
    Recomputes the payload checksum, compares against the seal stored at the
@@ -185,7 +310,7 @@ let rec verify_seal t page cs =
          first admission so capacity pressure cannot thrash it — one read
          per residency burst, hits thereafter.  (A flush still drops it;
          the next verification re-reads and re-pins.) *)
-      if Hashtbl.mem t.frames g then touch t g ~dirty:false else pin t g
+      if find t g <> nil then touch t g ~dirty:false else pin t g
   | None -> ());
   let ok = Hashtbl.find_opt t.sealed page = Some (cs ()) in
   if not ok then begin
@@ -206,83 +331,86 @@ and verify_on_read t page =
 
 and touch t page ~dirty =
   Iostats.record_access t.io;
-  match Hashtbl.find_opt t.frames page with
-  | Some f ->
-      Iostats.record_pool_hit t.io;
-      unlink t f;
-      push_front t f;
-      if dirty then f.dirty <- true
-  | None ->
-      insert_resident t page ~dirty ~count_read:true;
-      verify_on_read t page
+  let f = find t page in
+  if f <> nil then begin
+    Iostats.record_pool_hit t.io;
+    unlink t f;
+    push_front t f;
+    if dirty then set_dirty t f true
+  end
+  else begin
+    insert_resident t page ~dirty ~count_read:true;
+    verify_on_read t page
+  end
 
 and pin t page =
-  let missed = not (Hashtbl.mem t.frames page) in
-  (match Hashtbl.find_opt t.frames page with
-  | Some _ -> Iostats.record_pool_hit t.io
-  | None -> insert_resident t page ~dirty:false ~count_read:true);
-  let f = Hashtbl.find t.frames page in
-  f.pins <- f.pins + 1;
+  let missed = find t page = nil in
+  if missed then insert_resident t page ~dirty:false ~count_read:true
+  else Iostats.record_pool_hit t.io;
+  let f = find t page in
+  t.fpins.(f) <- t.fpins.(f) + 1;
   (* Verify after the pin so the checksum-page touch cannot evict the frame
      we just admitted (it is pinned now). *)
   if missed then verify_on_read t page
 
 let touch_new t page =
   Iostats.record_access t.io;
-  match Hashtbl.find_opt t.frames page with
-  | Some f ->
-      Iostats.record_pool_hit t.io;
-      unlink t f;
-      push_front t f;
-      f.dirty <- true
-  | None -> insert_resident t page ~dirty:true ~count_read:false
+  let f = find t page in
+  if f <> nil then begin
+    Iostats.record_pool_hit t.io;
+    unlink t f;
+    push_front t f;
+    set_dirty t f true
+  end
+  else insert_resident t page ~dirty:true ~count_read:false
 
 let unpin t page =
-  match Hashtbl.find_opt t.frames page with
-  | Some f when f.pins > 0 -> f.pins <- f.pins - 1
-  | Some _ -> invalid_arg "Buffer_pool.unpin: page not pinned"
-  | None -> invalid_arg "Buffer_pool.unpin: page not resident"
+  let f = find t page in
+  if f = nil then invalid_arg "Buffer_pool.unpin: page not resident"
+  else if t.fpins.(f) = 0 then invalid_arg "Buffer_pool.unpin: page not pinned"
+  else t.fpins.(f) <- t.fpins.(f) - 1
 
 let pinned t page =
-  match Hashtbl.find_opt t.frames page with
-  | Some f -> f.pins > 0
-  | None -> false
+  let f = find t page in
+  f <> nil && t.fpins.(f) > 0
 
 let write_back t page =
-  match Hashtbl.find_opt t.frames page with
-  | Some f when f.dirty ->
-      Faults.check t.plan Faults.Write ~page;
-      Iostats.record_wal_write t.io;
-      f.dirty <- false;
-      wrote t page
-  | _ -> ()
+  let f = find t page in
+  if f <> nil && dirty t f then begin
+    Faults.check t.plan Faults.Write ~page;
+    Iostats.record_wal_write t.io;
+    set_dirty t f false;
+    wrote t page
+  end
 
 let discard t page =
-  match Hashtbl.find_opt t.frames page with
-  | Some f ->
-      unlink t f;
-      Hashtbl.remove t.frames f.page
-  | None -> ()
+  let f = find t page in
+  if f <> nil then drop t f
 
 let flush t =
   (* Flush ignores pins: it models an orderly shutdown, after which nothing
      holds a reference.  Dirty pages are written unconditionally (no fault
      check — callers flush outside the faulted region). *)
-  while t.lru <> None do
-    match t.lru with
-    | None -> ()
-    | Some f ->
-        unlink t f;
-        Hashtbl.remove t.frames f.page;
-        if f.dirty then begin
-          Iostats.record_write t.io;
-          (* Orderly shutdown still reseals (the write is real), but polls
-             no damage — flush runs outside the faulted region. *)
-          reseal t f.page
-        end
+  while t.lru <> nil do
+    let f = t.lru in
+    let page = t.fpage.(f) and was_dirty = dirty t f in
+    drop t f;
+    if was_dirty then begin
+      Iostats.record_write t.io;
+      (* Orderly shutdown still reseals (the write is real), but polls no
+         damage — flush runs outside the faulted region. *)
+      reseal t page
+    end
   done
 
-let resident t page = Hashtbl.mem t.frames page
+let resident t page = find t page <> nil
+
+let residency t =
+  let rec walk f acc =
+    if f = nil then List.rev acc
+    else walk t.next.(f) ((t.fpage.(f), dirty t f, t.fpins.(f)) :: acc)
+  in
+  walk t.mru []
 
 (* --- Corruption protection ------------------------------------------- *)
 

@@ -16,6 +16,11 @@
     capacity pressure, and overflow admissions when every frame is pinned.
     {!flush} models orderly shutdown and does not count evictions.
 
+    The pool's memory is proportional to its frames — [capacity], grown
+    only by pinned overflow — never to the number of pages ever allocated,
+    so a long-running process that keeps allocating fresh pages stays
+    bounded.
+
     {2 Corruption detection}
 
     Because the pool holds no contents, checksum protection is a
@@ -109,6 +114,10 @@ val flush : t -> unit
 
 (** [resident t page] — whether the page is currently buffered. *)
 val resident : t -> int -> bool
+
+(** [residency t] — the resident frames from most to least recently used,
+    as [(page, dirty, pins)] (for tests). *)
+val residency : t -> (int * bool * int) list
 
 (** [protect t page hooks] registers [page] for corruption detection and,
     when [hooks.hk_checksum] is present, seals its current payload

@@ -19,9 +19,13 @@ let finish h = h land max_int
 let array ?(init = empty) a =
   finish (Array.fold_left mix init a)
 
+(* The hottest loop of a checksummed read: index the backing array in this
+   module (see [Arena]) after one window check, not [Arena.get] per word. *)
 let arena ?(init = empty) arena ~off ~len =
+  if not (Arena.in_use arena ~off ~len) then invalid_arg "Checksum.arena";
+  let d = Arena.words arena in
   let h = ref init in
   for i = off to off + len - 1 do
-    h := mix !h (Arena.get arena i)
+    h := mix !h (Bigarray.Array1.unsafe_get d i)
   done;
   finish !h

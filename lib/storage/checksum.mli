@@ -21,5 +21,6 @@ val finish : int -> int
 val array : ?init:int -> int array -> int
 
 (** [arena a ~off ~len] — checksum of an arena window, without
-    materializing it. *)
+    materializing it.  Raises [Invalid_argument "Checksum.arena"] when the
+    window is not {!Arena.in_use}. *)
 val arena : ?init:int -> Arena.t -> off:int -> len:int -> int

@@ -206,28 +206,38 @@ let truncate_last t rid =
   end
   else invalid_arg "Heap_file.truncate_last: rid is not the tail"
 
-let scan t ~f =
+(* Both scans run this loop.  It indexes the arena's backing array in place
+   (see [Arena]): one window check per page, then inlined reads of each
+   slot's presence word and, when [attr >= 0], its key word.  Only the
+   tuples handed to [f] are copied out.  The array is re-fetched after every
+   callback, in case [f] grew the arena. *)
+let scan_live t ~attr ~keep ~f =
+  let sw = slot_words t in
   for p = 0 to t.n_pages - 1 do
     let page = t.pages.(p) in
     Buffer_pool.touch t.pool page.gid ~dirty:false;
+    if not (Arena.in_use t.arena ~off:page.off ~len:(page_words t)) then
+      invalid_arg "Heap_file: page outside its arena";
+    let w = ref (Arena.words t.arena) in
     for s = 0 to t.tpp - 1 do
-      if slot_live t page s then f { rid_page = p; rid_slot = s } (read_slot t page s)
+      let off = page.off + (s * sw) in
+      if
+        Bigarray.Array1.unsafe_get !w off <> 0
+        && (attr < 0 || keep (Bigarray.Array1.unsafe_get !w (off + 1 + attr)))
+      then begin
+        f { rid_page = p; rid_slot = s }
+          (Arena.to_array t.arena ~off:(off + 1) ~len:t.arity);
+        w := Arena.words t.arena
+      end
     done
   done
 
-(* Zero-copy scan: hands [f] the arena window of each slot's attributes
-   instead of materializing tuples on the OCaml heap. *)
-let scan_slices t ~f =
-  for p = 0 to t.n_pages - 1 do
-    let page = t.pages.(p) in
-    Buffer_pool.touch t.pool page.gid ~dirty:false;
-    for s = 0 to t.tpp - 1 do
-      if slot_live t page s then
-        f
-          { rid_page = p; rid_slot = s }
-          (Arena.slice t.arena ~off:(slot_off t page s + 1) ~len:t.arity)
-    done
-  done
+let scan t ~f = scan_live t ~attr:(-1) ~keep:(fun _ -> true) ~f
+
+let scan_where t ~attr ~keep ~f =
+  if attr < 0 || (t.arity >= 0 && attr >= t.arity) then
+    invalid_arg "Heap_file.scan_where";
+  scan_live t ~attr ~keep ~f
 
 let n_tuples t = t.n_tuples
 

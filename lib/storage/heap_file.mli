@@ -4,11 +4,12 @@
     heaps).
 
     Tuple data lives off the OCaml heap in a per-file {!Arena}: a page is a
-    zero-copy block of native-int words (one presence flag plus the
-    attributes per slot), so file contents put no pressure on the GC and
-    {!scan_slices} can hand out slot windows by reference.  The file's arity
-    is fixed at {!create} or by the first {!append}; later operations with a
-    different arity raise [Invalid_argument]. *)
+    block of native-int words (one presence flag plus the attributes per
+    slot), so file contents put no pressure on the GC.  The scans read each
+    slot's presence word, and {!scan_where} its key word, in place; a tuple
+    is copied onto the OCaml heap only when it is handed to the caller.  The
+    file's arity is fixed at {!create} or by the first {!append}; later
+    operations with a different arity raise [Invalid_argument]. *)
 
 type rid = { rid_page : int; rid_slot : int }
 (** Record identifier: page index within the file and slot within the
@@ -57,10 +58,16 @@ val truncate_last : t -> rid -> bool
     (including pages that became empty).  Tuples are materialized fresh. *)
 val scan : t -> f:(rid -> int array -> unit) -> unit
 
-(** [scan_slices t ~f] is {!scan} without the copies: [f] receives each live
-    slot's attribute window straight into the arena.  The window is only
-    valid until the file next grows. *)
-val scan_slices : t -> f:(rid -> Arena.words -> unit) -> unit
+(** [scan_where t ~attr ~keep ~f] is [scan] restricted to the live tuples
+    whose attribute [attr] satisfies [keep]: it reads each slot's key word
+    in place and materializes only the tuples it hands to [f].  It touches
+    the same pages in the same order as {!scan}, so its buffer-pool and I/O
+    accounting is identical.  [keep] must not modify the file.  Raises
+    [Invalid_argument "Heap_file.scan_where"] when [attr] is outside
+    [[0, arity)] (only a negative [attr] while the arity is unfixed, since
+    such a file is empty). *)
+val scan_where :
+  t -> attr:int -> keep:(int -> bool) -> f:(rid -> int array -> unit) -> unit
 
 (** Number of live tuples. *)
 val n_tuples : t -> int

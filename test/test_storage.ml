@@ -7,6 +7,8 @@ module Buffer_pool = Vis_storage.Buffer_pool
 module Heap_file = Vis_storage.Heap_file
 module Btree = Vis_storage.Btree
 module Faults = Vis_storage.Faults
+module Arena = Vis_storage.Arena
+module Checksum = Vis_storage.Checksum
 
 let checkb = Alcotest.(check bool)
 
@@ -131,6 +133,387 @@ let test_pool_write_back () =
   checki "clean page not rewritten" 1 (Iostats.writes stats);
   Buffer_pool.flush pool;
   checki "flush finds it clean" 1 (Iostats.writes stats)
+
+(* ------------------------------------------------------------------ *)
+(* Buffer pool against a reference model. *)
+
+(* The reference: the pool's documented behaviour written the naive way —
+   the frames as a list, most recently used first, searched and rebuilt on
+   every access.  The side tables (hooks, seals, quarantine, checksum
+   bucket pages) are plain hash tables.  Any divergence from the real pool
+   in residency order, dirty bits, pins, [Iostats] counters or raised
+   exceptions is a bug in one of them. *)
+module Ref_pool = struct
+  type frame = { page : int; mutable dirty : bool; mutable pins : int }
+
+  type t = {
+    cap : int;
+    io : Iostats.t;
+    plan : Faults.t;
+    mutable frames : frame list;
+    mutable next_page : int;
+    hooks : (int, Buffer_pool.page_hooks) Hashtbl.t;
+    sealed : (int, int) Hashtbl.t;
+    quarantine : (int, unit) Hashtbl.t;
+    cs_pages : (int, int) Hashtbl.t;
+  }
+
+  let cs_span = 512
+
+  let create ~capacity ~plan =
+    {
+      cap = capacity;
+      io = Iostats.create ();
+      plan;
+      frames = [];
+      next_page = 0;
+      hooks = Hashtbl.create 8;
+      sealed = Hashtbl.create 8;
+      quarantine = Hashtbl.create 8;
+      cs_pages = Hashtbl.create 8;
+    }
+
+  let find m page = List.find_opt (fun f -> f.page = page) m.frames
+
+  let remove m f = m.frames <- List.filter (fun g -> g != f) m.frames
+
+  let to_front m f = m.frames <- f :: List.filter (fun g -> g != f) m.frames
+
+  let victim m = List.find_opt (fun f -> f.pins = 0) (List.rev m.frames)
+
+  let fresh_page m =
+    Faults.check m.plan Faults.Alloc ~page:m.next_page;
+    m.next_page <- m.next_page + 1;
+    m.next_page - 1
+
+  let reseal m page =
+    match Hashtbl.find_opt m.hooks page with
+    | Some { Buffer_pool.hk_checksum = Some cs; _ } ->
+        Hashtbl.replace m.sealed page (cs ())
+    | _ -> ()
+
+  let wrote m page =
+    reseal m page;
+    match Faults.damage m.plan Faults.Write ~page with
+    | None -> ()
+    | Some (way, sel) ->
+        (match Hashtbl.find_opt m.hooks page with
+        | Some h -> h.Buffer_pool.hk_corrupt way sel
+        | None -> ());
+        if way = Faults.Torn_write then
+          raise
+            (Faults.Injected
+               {
+                 Faults.f_op = Faults.Write;
+                 f_kind = Faults.Crash;
+                 f_page = page;
+                 f_seq = Faults.seq m.plan;
+                 f_retries = 0;
+               })
+
+  let admit m page ~dirty ~count_read =
+    let at_capacity = List.length m.frames >= m.cap in
+    let v = if at_capacity then victim m else None in
+    (match v with
+    | Some f when f.dirty -> Faults.check m.plan Faults.Write ~page:f.page
+    | _ -> ());
+    if count_read then begin
+      Faults.check m.plan Faults.Read ~page;
+      Iostats.record_read m.io
+    end;
+    Iostats.record_pool_miss m.io;
+    if at_capacity && v = None then Iostats.record_pool_overflow m.io;
+    (match v with
+    | Some f ->
+        remove m f;
+        Iostats.record_pool_eviction m.io;
+        if f.dirty then begin
+          Iostats.record_write m.io;
+          wrote m f.page
+        end
+    | None -> ());
+    m.frames <- { page; dirty; pins = 0 } :: m.frames
+
+  let rec verify_seal m page cs =
+    Iostats.record_checksum_verification m.io;
+    (match Hashtbl.find_opt m.cs_pages (page / cs_span) with
+    | Some g -> if find m g <> None then touch m g ~dirty:false else pin m g
+    | None -> ());
+    let ok = Hashtbl.find_opt m.sealed page = Some (cs ()) in
+    if not ok then begin
+      Iostats.record_checksum_failure m.io;
+      Hashtbl.replace m.quarantine page ()
+    end;
+    ok
+
+  and verify_on_read m page =
+    if not (Hashtbl.mem m.quarantine page) then
+      match Hashtbl.find_opt m.hooks page with
+      | Some { Buffer_pool.hk_checksum = Some cs; _ } ->
+          if not (verify_seal m page cs) then raise (Buffer_pool.Corruption page)
+      | _ -> ()
+
+  and touch m page ~dirty =
+    Iostats.record_access m.io;
+    match find m page with
+    | Some f ->
+        Iostats.record_pool_hit m.io;
+        to_front m f;
+        if dirty then f.dirty <- true
+    | None ->
+        admit m page ~dirty ~count_read:true;
+        verify_on_read m page
+
+  and pin m page =
+    let missed = find m page = None in
+    if missed then admit m page ~dirty:false ~count_read:true
+    else Iostats.record_pool_hit m.io;
+    let f = Option.get (find m page) in
+    f.pins <- f.pins + 1;
+    if missed then verify_on_read m page
+
+  let touch_new m page =
+    Iostats.record_access m.io;
+    match find m page with
+    | Some f ->
+        Iostats.record_pool_hit m.io;
+        to_front m f;
+        f.dirty <- true
+    | None -> admit m page ~dirty:true ~count_read:false
+
+  let unpin m page =
+    match find m page with
+    | Some f when f.pins > 0 -> f.pins <- f.pins - 1
+    | Some _ -> invalid_arg "Buffer_pool.unpin: page not pinned"
+    | None -> invalid_arg "Buffer_pool.unpin: page not resident"
+
+  let write_back m page =
+    match find m page with
+    | Some f when f.dirty ->
+        Faults.check m.plan Faults.Write ~page;
+        Iostats.record_wal_write m.io;
+        f.dirty <- false;
+        wrote m page
+    | _ -> ()
+
+  let discard m page = Option.iter (remove m) (find m page)
+
+  let flush m =
+    List.iter
+      (fun f ->
+        remove m f;
+        if f.dirty then begin
+          Iostats.record_write m.io;
+          reseal m f.page
+        end)
+      (List.rev m.frames)
+
+  let protect m page hooks =
+    Hashtbl.replace m.hooks page hooks;
+    Hashtbl.remove m.quarantine page;
+    match hooks.Buffer_pool.hk_checksum with
+    | Some cs ->
+        let bucket = page / cs_span in
+        if not (Hashtbl.mem m.cs_pages bucket) then begin
+          Hashtbl.add m.cs_pages bucket m.next_page;
+          m.next_page <- m.next_page + 1
+        end;
+        Hashtbl.replace m.sealed page (cs ())
+    | None -> ()
+
+  let verify m page =
+    if Hashtbl.mem m.quarantine page then false
+    else
+      match Hashtbl.find_opt m.hooks page with
+      | Some { Buffer_pool.hk_checksum = Some cs; _ } -> verify_seal m page cs
+      | _ -> true
+
+  let residency m = List.map (fun f -> (f.page, f.dirty, f.pins)) m.frames
+end
+
+type pool_op =
+  | Fresh
+  | Touch of int * bool
+  | Touch_new of int
+  | Pin of int
+  | Unpin of int
+  | Discard of int
+  | Write_back of int
+  | Flush
+  | Verify of int
+
+let pp_pool_op = function
+  | Fresh -> "fresh_page"
+  | Touch (p, d) -> Printf.sprintf "touch %d ~dirty:%b" p d
+  | Touch_new p -> Printf.sprintf "touch_new %d" p
+  | Pin p -> Printf.sprintf "pin %d" p
+  | Unpin p -> Printf.sprintf "unpin %d" p
+  | Discard p -> Printf.sprintf "discard %d" p
+  | Write_back p -> Printf.sprintf "write_back %d" p
+  | Flush -> "flush"
+  | Verify p -> Printf.sprintf "verify %d" p
+
+let counters io =
+  Iostats.
+    [
+      reads io; writes io; accesses io; wal_writes io; wal_syncs io;
+      pool_hits io; pool_misses io; pool_evictions io; pool_overflows io;
+      checksum_verifications io; checksum_failures io;
+    ]
+
+(* The plan of trial [seed], built twice so the pool and the model each
+   consult an identical copy. *)
+let trial_plan seed =
+  let rng = Random.State.make [| seed |] in
+  match seed mod 4 with
+  | 0 -> Faults.none ()
+  | 1 -> Faults.random ~rng ()
+  | 2 ->
+      Faults.make ~seed
+        [
+          Faults.Fail_prob { op = None; p = 0.04; kind = Faults.Crash };
+          Faults.Fail_prob { op = Some Faults.Write; p = 0.05; kind = Faults.Transient };
+          Faults.Corrupt_prob { op = Some Faults.Write; p = 0.08; way = Faults.Bit_flip };
+        ]
+  | _ ->
+      Faults.make ~seed
+        [
+          Faults.Fail_page { op = Some Faults.Read; page = 3; kind = Faults.Permanent };
+          Faults.Fail_nth { op = Some Faults.Write; n = 5; kind = Faults.Crash };
+          Faults.Corrupt_prob { op = Some Faults.Write; p = 0.05; way = Faults.Torn_write };
+          Faults.Corrupt_prob { op = Some Faults.Write; p = 0.05; way = Faults.Bit_flip };
+        ]
+
+let n_trial_pages = 12
+
+let random_pool_op rng =
+  let page () = Random.State.int rng n_trial_pages in
+  match Random.State.int rng 20 with
+  | 0 -> Fresh
+  | 1 | 2 | 3 | 4 | 5 | 6 -> Touch (page (), Random.State.bool rng)
+  | 7 | 8 -> Touch_new (page ())
+  | 9 | 10 -> Pin (page ())
+  | 11 -> Unpin (page ())
+  | 12 | 13 -> Discard (page ())
+  | 14 | 15 -> Write_back (page ())
+  | 16 -> Flush
+  | _ -> Verify (page ())
+
+(* One seeded trial: the same random operation sequence on the pool and the
+   model, compared after every step.  Each side owns a payload word per
+   page: a dirty touch changes it, the checksum hook reads it and the
+   damage hook corrupts it. *)
+let pool_differential_trial seed =
+  let rng = Random.State.make [| 7919 * seed |] in
+  let capacity = 1 + Random.State.int rng 5 in
+  let pool_plan = trial_plan seed and model_plan = trial_plan seed in
+  let stats = Iostats.create () in
+  let pool = Buffer_pool.create ~capacity ~stats in
+  Buffer_pool.set_faults pool pool_plan;
+  let model = Ref_pool.create ~capacity ~plan:model_plan in
+  let hooks payload page =
+    {
+      Buffer_pool.hk_checksum = Some (fun () -> payload.(page));
+      hk_corrupt =
+        (fun way sel ->
+          payload.(page) <-
+            (match way with
+            | Faults.Bit_flip -> payload.(page) lxor (1 lsl (sel mod 30))
+            | Faults.Torn_write -> -1 - sel));
+    }
+  in
+  let pool_payload = Array.make 64 0 and model_payload = Array.make 64 0 in
+  for _ = 1 to n_trial_pages do
+    ignore (Buffer_pool.fresh_page pool);
+    ignore (Ref_pool.fresh_page model)
+  done;
+  for p = 0 to n_trial_pages - 1 do
+    if p mod 3 <> 2 then begin
+      Buffer_pool.protect pool p (hooks pool_payload p);
+      Ref_pool.protect model p (hooks model_payload p)
+    end
+  done;
+  Faults.arm pool_plan;
+  Faults.arm model_plan;
+  let outcome f = match f () with v -> Ok v | exception e -> Error e in
+  for step = 1 to 400 do
+    let op = random_pool_op rng in
+    let run_pool () =
+      match op with
+      | Fresh -> Buffer_pool.fresh_page pool
+      | Touch (p, dirty) -> Buffer_pool.touch pool p ~dirty; 0
+      | Touch_new p -> Buffer_pool.touch_new pool p; 0
+      | Pin p -> Buffer_pool.pin pool p; 0
+      | Unpin p -> Buffer_pool.unpin pool p; 0
+      | Discard p -> Buffer_pool.discard pool p; 0
+      | Write_back p -> Buffer_pool.write_back pool p; 0
+      | Flush -> Buffer_pool.flush pool; 0
+      | Verify p -> Bool.to_int (Buffer_pool.verify pool p)
+    and run_model () =
+      match op with
+      | Fresh -> Ref_pool.fresh_page model
+      | Touch (p, dirty) -> Ref_pool.touch model p ~dirty; 0
+      | Touch_new p -> Ref_pool.touch_new model p; 0
+      | Pin p -> Ref_pool.pin model p; 0
+      | Unpin p -> Ref_pool.unpin model p; 0
+      | Discard p -> Ref_pool.discard model p; 0
+      | Write_back p -> Ref_pool.write_back model p; 0
+      | Flush -> Ref_pool.flush model; 0
+      | Verify p -> Bool.to_int (Ref_pool.verify model p)
+    in
+    let got = outcome run_pool and want = outcome run_model in
+    let where = Printf.sprintf "seed %d step %d (%s)" seed step (pp_pool_op op) in
+    if got <> want then
+      Alcotest.failf "%s: outcome %s, model %s" where
+        (match got with Ok v -> string_of_int v | Error e -> Printexc.to_string e)
+        (match want with Ok v -> string_of_int v | Error e -> Printexc.to_string e);
+    (match (op, got) with
+    | Touch (p, true), Ok _ ->
+        pool_payload.(p) <- pool_payload.(p) + 1;
+        model_payload.(p) <- model_payload.(p) + 1
+    | _ -> ());
+    if Buffer_pool.residency pool <> Ref_pool.residency model then
+      Alcotest.failf "%s: residency diverged" where;
+    if counters stats <> counters model.Ref_pool.io then
+      Alcotest.failf "%s: Iostats diverged" where;
+    for p = 0 to n_trial_pages - 1 do
+      if Buffer_pool.quarantined pool p <> Hashtbl.mem model.Ref_pool.quarantine p
+      then Alcotest.failf "%s: quarantine of page %d diverged" where p
+    done
+  done;
+  counters stats
+
+let test_pool_reference_differential () =
+  let total = Array.make 11 0 in
+  for seed = 1 to 200 do
+    List.iteri
+      (fun i c -> total.(i) <- total.(i) + c)
+      (pool_differential_trial seed)
+  done;
+  (* The trials must reach every path the model is there to check. *)
+  let reached name i = checkb name true (total.(i) > 0) in
+  reached "evictions" 7;
+  reached "pinned overflows" 8;
+  reached "dirty writes" 1;
+  reached "write-backs" 3;
+  reached "checksum failures" 10
+
+(* Gids are never reused, so a frame table indexed by gid would grow with
+   every page ever allocated; the pool's memory must depend on its capacity
+   only. *)
+let test_pool_bounded_memory () =
+  let pool, stats = fresh_pool ~capacity:64 () in
+  let words () = Obj.reachable_words (Obj.repr pool) in
+  for i = 0 to 99_999 do
+    let g = Buffer_pool.fresh_page pool in
+    Buffer_pool.touch_new pool g;
+    (* Even pages are discarded a while later; odd ones leave by
+       eviction. *)
+    if i >= 40 && i mod 2 = 0 then Buffer_pool.discard pool (g - 40)
+  done;
+  checkb "pressure evicted pages" true (Iostats.pool_evictions stats > 10_000);
+  let w = words () in
+  if w > 4096 then Alcotest.failf "pool holds %d words after 100k pages" w
 
 (* ------------------------------------------------------------------ *)
 (* Fault plans. *)
@@ -379,6 +762,135 @@ let test_heap_append_across_page_boundary () =
     (Invalid_argument "Heap_file: arity mismatch") (fun () ->
       ignore (Heap_file.append h [| 1; 2 |]))
 
+(* [scan_where] is [scan] filtered on one attribute: the same (rid, tuple)
+   sequence, the same pages touched in the same order, so the same
+   [Iostats] counters and pool state — also when a fault cuts the scan
+   short.  Each case is built twice, deterministically, so the two scans
+   start from identical pools. *)
+let scan_where_cases =
+  let heap ?arity ?(protect = false) fill () =
+    let pool, stats = fresh_pool ~capacity:3 () in
+    let h = Heap_file.create ?arity pool ~tuples_per_page:4 in
+    if protect then Heap_file.protect h;
+    fill h;
+    Buffer_pool.flush pool;
+    (pool, stats, h)
+  in
+  let append_n h n = List.init n (fun i -> Heap_file.append h [| i mod 5; i; 3 * i |]) in
+  [
+    ( "deleted slots",
+      heap (fun h ->
+          List.iteri
+            (fun i r -> if i mod 3 = 1 then ignore (Heap_file.delete h r))
+            (append_n h 23)) );
+    ( "truncated tail",
+      heap (fun h ->
+          let rids = append_n h 13 in
+          List.iter
+            (fun r -> ignore (Heap_file.truncate_last h r))
+            (List.rev (List.filteri (fun i _ -> i >= 9) rids))) );
+    ("empty, arity fixed", heap ~arity:3 (fun _ -> ()));
+    ("empty, arity unfixed", heap (fun _ -> ()));
+    ( "checksummed pages",
+      heap ~protect:true (fun h ->
+          List.iteri
+            (fun i r -> if i mod 4 = 0 then ignore (Heap_file.delete h r))
+            (append_n h 30)) );
+  ]
+
+let keep_key k = k = 1 || k = 3
+
+(* Run both scans on twin heaps; [arm] installs a fault before scanning. *)
+let scan_twins ?(arm = fun _ _ -> ()) build =
+  let run scan =
+    let pool, stats, h = build () in
+    arm pool h;
+    let seen = ref [] in
+    let outcome =
+      match scan h (fun rid t -> seen := (rid, t) :: !seen) with
+      | () -> None
+      | exception e -> Some e
+    in
+    (List.rev !seen, outcome, counters stats, Buffer_pool.residency pool)
+  in
+  let full =
+    run (fun h f -> Heap_file.scan h ~f:(fun rid t -> if keep_key t.(0) then f rid t))
+  in
+  let where = run (fun h f -> Heap_file.scan_where h ~attr:0 ~keep:keep_key ~f) in
+  (full, where)
+
+let test_heap_scan_where () =
+  List.iter
+    (fun (name, build) ->
+      let (seq, out, io, res), (seq', out', io', res') = scan_twins build in
+      checkb (name ^ ": same tuples") true (seq = seq');
+      checkb (name ^ ": no fault") true (out = None && out' = None);
+      Alcotest.(check (list int)) (name ^ ": same counters") io io';
+      checkb (name ^ ": same residency") true (res = res'))
+    scan_where_cases;
+  let _, build = List.hd scan_where_cases in
+  let _, _, h = build () in
+  checkb "filter visits a strict subset" true
+    (let n = ref 0 in
+     Heap_file.scan_where h ~attr:0 ~keep:keep_key ~f:(fun _ _ -> incr n);
+     !n > 0 && !n < Heap_file.n_tuples h)
+
+let test_heap_scan_where_faults () =
+  let _, build = List.nth scan_where_cases 4 in
+  let read_fault pool _ =
+    let plan =
+      Faults.make [ Faults.Fail_nth { op = Some Faults.Read; n = 4; kind = Faults.Crash } ]
+    in
+    Buffer_pool.set_faults pool plan;
+    Faults.arm plan
+  in
+  let rot pool h =
+    Buffer_pool.corrupt_page pool (Heap_file.page_gid h 3) Faults.Bit_flip 17
+  in
+  List.iter
+    (fun (name, arm) ->
+      let (seq, out, io, res), (seq', out', io', res') = scan_twins ~arm build in
+      checkb (name ^ ": scan stopped") true (out <> None);
+      checkb (name ^ ": same exception") true (out = out');
+      checkb (name ^ ": same prefix") true (seq = seq' && seq <> []);
+      Alcotest.(check (list int)) (name ^ ": same counters") io io';
+      checkb (name ^ ": same residency") true (res = res'))
+    [ ("read fault", read_fault); ("corrupt page", rot) ]
+
+let test_window_errors () =
+  let pool, _ = fresh_pool () in
+  let h = Heap_file.create pool ~tuples_per_page:4 in
+  ignore (Heap_file.append h [| 1; 2 |]);
+  let scan_where attr () =
+    Heap_file.scan_where h ~attr ~keep:(fun _ -> true) ~f:(fun _ _ -> ())
+  in
+  let bad = Invalid_argument "Heap_file.scan_where" in
+  Alcotest.check_raises "attr = arity" bad (scan_where 2);
+  Alcotest.check_raises "negative attr" bad (scan_where (-1));
+  Alcotest.check_raises "negative attr, arity unfixed" bad (fun () ->
+      Heap_file.scan_where
+        (Heap_file.create pool ~tuples_per_page:4)
+        ~attr:(-1) ~keep:(fun _ -> true) ~f:(fun _ _ -> ()));
+  let a = Arena.create ~initial_words:4 () in
+  let off = Arena.alloc a 6 in
+  Arena.set a (off + 5) 42;
+  Alcotest.(check (array int)) "window at the end" [| 42 |]
+    (Arena.to_array a ~off:(off + 5) ~len:1);
+  checki "checksum of the empty window" (Checksum.finish Checksum.empty)
+    (Checksum.arena a ~off:6 ~len:0);
+  List.iter
+    (fun (what, off, len) ->
+      Alcotest.check_raises ("to_array " ^ what) (Invalid_argument "Arena.to_array")
+        (fun () -> ignore (Arena.to_array a ~off ~len));
+      Alcotest.check_raises ("checksum " ^ what) (Invalid_argument "Checksum.arena")
+        (fun () -> ignore (Checksum.arena a ~off ~len)))
+    [
+      ("past the words in use", 4, 3);
+      ("past the capacity", 6, 10);
+      ("negative offset", -1, 2);
+      ("negative length", 2, -1);
+    ]
+
 (* ------------------------------------------------------------------ *)
 (* B+-tree. *)
 
@@ -543,6 +1055,10 @@ let () =
           Alcotest.test_case "pin refcount" `Quick test_pool_pin_refcount;
           Alcotest.test_case "flush ignores pins" `Quick test_pool_flush_ignores_pins;
           Alcotest.test_case "write_back" `Quick test_pool_write_back;
+          Alcotest.test_case "matches the reference model" `Quick
+            test_pool_reference_differential;
+          Alcotest.test_case "memory bounded by capacity" `Quick
+            test_pool_bounded_memory;
         ]
         @ qt [ prop_pool_no_capacity_misses ] );
       ( "faults",
@@ -566,6 +1082,11 @@ let () =
             test_heap_dirty_eviction_write_ordering;
           Alcotest.test_case "append across page boundary" `Quick
             test_heap_append_across_page_boundary;
+          Alcotest.test_case "scan_where is a filtered scan" `Quick
+            test_heap_scan_where;
+          Alcotest.test_case "scan_where under faults" `Quick
+            test_heap_scan_where_faults;
+          Alcotest.test_case "window errors" `Quick test_window_errors;
         ] );
       ( "btree",
         [
