@@ -8,14 +8,14 @@
    immune to CI timing noise.  The gate list below names them:
 
    - [cost_evaluations] (the states A* costs, [Search_stats.evaluated])
-     per Table 2 schema at jobs=1;
+     per Table 2 schema at jobs=1, from the search_cost_evaluations study;
    - [modeled_speedup_4] per parallel-scaling case — the deterministic
      replay of the recorded per-round shard work on 4 ideal workers (work
      re-serialized into fewer, fatter shards shows up here);
    - [wal_syncs] per group-commit row of the storage_engine study — the
      durability barriers one deterministic 8-batch stream pays at group
      sizes 1 and 4;
-   - [reopts] and [p99_batch_latency_ms] of the service study — the
+   - [reopts] and [p99_batch_latency_sim_ms] of the service study — the
      daemon's re-optimization churn on its fixed drift scenario and the
      simulated-clock p99 batch commit latency;
    - [cost_evaluations_mined] and [reduction_factor] per mined_candidates
@@ -26,7 +26,7 @@
      [convicted] must equal its [injected], whatever the baseline says.
 
    Integer counters use the fixed 20% tolerance.  Float metrics
-   ([p99_batch_latency_ms], [read_overhead_frac]) use the explicit
+   ([p99_batch_latency_sim_ms], [read_overhead_frac]) use the explicit
    [float_tolerance] the baseline file itself declares, so their slack is
    versioned next to the numbers it guards.  A baseline without a family's
    rows is a usage error (exit 2); a regression or a number missing from
@@ -49,7 +49,7 @@ type gate = {
 let gates =
   [
     {
-      path = [ "incremental_costing" ];
+      path = [ "search_cost_evaluations" ];
       key = Some "schema";
       only = [ ("jobs", Json.Int 1) ];
       metrics = [ ("cost_evaluations", Higher_is_worse, `Fixed) ];
@@ -73,7 +73,7 @@ let gates =
       metrics =
         [
           ("reopts", Higher_is_worse, `Fixed);
-          ("p99_batch_latency_ms", Higher_is_worse, `Declared);
+          ("p99_batch_latency_sim_ms", Higher_is_worse, `Declared);
         ];
     };
     {

@@ -59,7 +59,9 @@ let figure5 () =
 (* [Table 2] A* versus exhaustive search: states considered and pruning.
    Exhaustive is actually run when its space is small enough; for larger
    instances its size is reported analytically (the paper's comparison is
-   about state counts; A*'s optimality is verified in the test suite). *)
+   about state counts; A*'s optimality is verified in the test suite).  The
+   search runs at jobs 1: concurrent domains can both miss on one cache key,
+   so the recorded cache counters are exact only on one domain. *)
 
 let table2_cases () =
   [
@@ -77,7 +79,7 @@ let table2 () =
     List.map
       (fun (name, schema) ->
         let p = Problem.make schema in
-        let a = Astar.search p in
+        let a = Astar.search ~jobs:1 p in
         let ex_states = a.Astar.stats.Astar.exhaustive_states in
         let expanded = a.Astar.stats.Astar.expanded in
         (* null when exhaustive was skipped (quick mode / too large):
@@ -550,7 +552,8 @@ let extra5 () =
    memoization versus the same search where every configuration gets a
    private cache.  The shared cache must cut actual cost derivations by at
    least 2x (hits / misses bookkeeping) while leaving the optimum — the
-   configuration itself and its cost — bit-identical. *)
+   configuration itself and its cost — bit-identical.  Jobs 1, as in
+   Table 2, keeps the hit and miss counts exact. *)
 
 let cache_study () =
   section "[Extra 6] Cost-cache effectiveness (shared memoization)";
@@ -558,14 +561,14 @@ let cache_study () =
     List.map
       (fun (name, required_factor, schema) ->
         let p = Problem.make schema in
-        let shared = Astar.search p in
+        let shared = Astar.search ~jobs:1 p in
         let s = Cost.cache_stats p.Problem.cache in
         let lookups = s.Cost.cs_hits + s.Cost.cs_misses in
         let factor =
           float_of_int lookups /. float_of_int (max 1 s.Cost.cs_misses)
         in
         let p_private = Problem.make ~share_cache:false schema in
-        let private_ = Astar.search p_private in
+        let private_ = Astar.search ~jobs:1 p_private in
         let same =
           Vis_util.Num.approx_equal ~eps:1e-9 shared.Astar.best_cost
             private_.Astar.best_cost
@@ -597,29 +600,23 @@ let cache_study () =
 (* [Extra 7] Coarse-grained parallel scaling of the search (--jobs).
    The exhaustive Table-2 sweep, the sharded A* on the small schemas, and
    the budgeted sharded A* on generated 8-relation star / 7-relation
-   snowflake warehouses are timed at several pool widths; every run is
-   asserted bit-identical to the jobs=1 baseline (same configuration, same
-   cost, same counters, same certificate), so the study doubles as a
+   snowflake warehouses run at jobs 1, 2 and 4; every run is asserted
+   bit-identical to the jobs=1 baseline (same configuration, same cost,
+   same counters, same certificate), so the study doubles as a
    determinism check.
 
-   Two speedup numbers are reported per case.  Wall-clock speedup is
-   machine truth: on a single-core host the extra domains only add
-   contention and the recorded ratios honestly reflect that.  The modeled
-   speedup replays the recorded per-exchange-round shard work counts on k
-   ideal workers ({!Vis_core.Search_stats.modeled_speedup}) — it is exact,
-   machine-independent, identical at every jobs setting, and is the number
-   the CI perf gate guards. *)
+   The speedup reported per case is modeled: it replays the recorded
+   per-exchange-round shard work counts on k ideal workers
+   ({!Vis_core.Search_stats.modeled_speedup}) — exact, machine-independent,
+   identical at every jobs setting, and the number the CI perf gate
+   guards.  Wall-clock speedup is perfbench's [parallel.speedup]. *)
 
 let parallel_scaling () =
   section "[Extra 7] Coarse-grained parallel scaling (--jobs)";
-  let cores = Domain.recommended_domain_count () in
-  let jobs_list = List.sort_uniq compare [ 1; 2; 4; cores ] in
-  Printf.printf
-    "machine reports %d core(s); timing jobs in {%s}\n\
-     wall seconds are machine truth; modeled speedups replay the recorded\n\
-     per-round shard work on k ideal workers (machine-independent)\n%!"
-    cores
-    (String.concat ", " (List.map string_of_int jobs_list));
+  let jobs_list = [ 1; 2; 4 ] in
+  print_endline
+    "runs at jobs 1, 2 and 4; modeled speedups replay the recorded per-round\n\
+     shard work on k ideal workers (machine-independent)";
   let limit = if quick then 100_000. else 700_000. in
   let cases =
     List.filter
@@ -632,39 +629,25 @@ let parallel_scaling () =
       ]
   in
   let entries = ref [] in
-  let time_run f =
-    let t0 = Unix.gettimeofday () in
-    let r = f () in
-    (r, Unix.gettimeofday () -. t0)
-  in
   (* [floor4]: minimum admissible modeled speedup at 4 workers — the
      scaling regression tripwire (also guarded by bench/check_perf.exe
      against bench/perf_baseline.json). *)
   let study ~name ~relations ~run ~same ~stats ?floor4 () =
     let baseline = ref None in
-    let base_seconds = ref nan in
     let rows = ref [] in
     List.iter
       (fun jobs ->
-        let r, dt = time_run (fun () -> run jobs) in
+        let r = run jobs in
         let identical =
           match !baseline with
           | None ->
               baseline := Some r;
-              base_seconds := dt;
               true
           | Some b -> same b r
         in
         assert identical;
-        let speedup = !base_seconds /. dt in
         rows :=
-          Json.Obj
-            [
-              ("jobs", Json.Int jobs);
-              ("seconds", Json.Float dt);
-              ("wall_speedup", Json.Float speedup);
-              ("identical", Json.Bool identical);
-            ]
+          Json.Obj [ ("jobs", Json.Int jobs); ("identical", Json.Bool identical) ]
           :: !rows)
       jobs_list;
     let s = stats (Option.get !baseline) in
@@ -761,27 +744,23 @@ let parallel_scaling () =
             (Schemas.snowflake ~arms:3 ~depth:2 ()) );
     ];
   record "parallel_scaling"
-    (Json.Obj
-       [
-         ("cores", Json.Int cores);
-         ("cases", Json.List (List.rev !entries));
-       ]);
+    (Json.Obj [ ("cases", Json.List (List.rev !entries)) ]);
   print_endline
     "Every parallel run returned the same configuration, cost, counters and\n\
-     certificate as jobs=1 (the determinism guarantee).  Wall speedups\n\
-     depend on the machine's core count above; the modeled speedups are the\n\
-     machine-independent scaling of the recorded shard work and gate the\n\
-     perf smoke (bench/check_perf.exe)."
+     certificate as jobs=1 (the determinism guarantee).  The modeled\n\
+     speedups are the machine-independent scaling of the recorded shard work\n\
+     and gate the perf smoke (bench/check_perf.exe); perfbench measures the\n\
+     wall-clock speedup."
 
 (* ------------------------------------------------------------------ *)
 (* [Extra 9] Cost-model work of the optimal search: A* on the Table 2
    schemas at jobs in {1, 4}, reporting the states the search costed
-   ([Search_stats.evaluated]) and the wall rate.  The counters are exact
-   and identical at any jobs setting (asserted here); [cost_evaluations]
-   at jobs=1 is the number the CI perf-smoke guards. *)
+   ([Search_stats.evaluated]).  The counters are exact and identical at
+   any jobs setting (asserted here); [cost_evaluations] at jobs=1 is the
+   number the CI perf-smoke guards. *)
 
-let incremental_costing () =
-  section "[Extra 9] Cost evaluations per A* search";
+let search_cost_evaluations () =
+  section "[Extra 9] Search cost evaluations per Table 2 schema";
   let module Search_stats = Vis_core.Search_stats in
   let rows = ref [] in
   List.iter
@@ -789,10 +768,7 @@ let incremental_costing () =
       let at_jobs1 = ref None in
       List.iter
         (fun jobs ->
-          let p = Problem.make schema in
-          let t0 = Unix.gettimeofday () in
-          let a = Astar.search ~jobs p in
-          let dt = Unix.gettimeofday () -. t0 in
+          let a = Astar.search ~jobs (Problem.make schema) in
           let evals = Search_stats.evaluated a.Astar.search_stats in
           let counts =
             (a.Astar.best_cost, evals, a.Astar.stats.Astar.expanded,
@@ -801,7 +777,6 @@ let incremental_costing () =
           (match !at_jobs1 with
           | None -> at_jobs1 := Some counts
           | Some c1 -> assert (c1 = counts));
-          let states_per_sec = float_of_int evals /. Float.max dt 1e-9 in
           rows :=
             Json.Obj
               [
@@ -810,13 +785,11 @@ let incremental_costing () =
                 ("cost_evaluations", Json.Int evals);
                 ("expanded", Json.Int a.Astar.stats.Astar.expanded);
                 ("generated", Json.Int a.Astar.stats.Astar.generated);
-                ("states_per_sec", Json.Float states_per_sec);
-                ("seconds", Json.Float dt);
               ]
             :: !rows)
         [ 1; 4 ])
     (table2_cases ());
-  record "incremental_costing" (Json.List (List.rev !rows));
+  record "search_cost_evaluations" (Json.List (List.rev !rows));
   print_endline
     "cost_evaluations: states costed by the search (Search_stats.evaluated);\n\
      jobs=4 returned the same optimum and counters as jobs=1."
@@ -1150,10 +1123,9 @@ let corruption_study () =
    zipfian tenants ingest seeded delta streams for a fixed number of
    simulated ticks while the heaviest tenant's volume steps 3x mid-run,
    forcing the monitor -> sensitivity-probe -> budgeted-A* loop to fire.
-   Wall-clock throughput (deltas/sec) is reported for the trajectory;
-   the CI guard in check_perf pins only the machine-independent numbers:
+   Every number is machine-independent; the CI guard in check_perf pins
    the re-optimization count (churn) and the simulated-clock p99 batch
-   latency. *)
+   latency.  Wall-clock throughput is perfbench's [serve] workload. *)
 let extra12 () =
   section "[Extra 12] Advisor service: sustained multi-tenant throughput";
   let module Service = Vis_service.Service in
@@ -1184,11 +1156,8 @@ let extra12 () =
          ~rate:(base_rate *. Stream.zipf_weight ~s:0.8 ~rank:k)
          ~drift ~config:design svc schema)
   done;
-  let t0 = Unix.gettimeofday () in
   Service.run svc ~ticks;
-  let wall_s = Unix.gettimeofday () -. t0 in
   let t = Service.totals svc in
-  let deltas_per_sec = float_of_int t.Service.tt_rows /. wall_s in
   let tenant_rows =
     List.map
       (fun id -> Service.tenant_stats_json (Service.stats svc id))
@@ -1208,20 +1177,18 @@ let extra12 () =
          ("ticks", Json.Int ticks);
          ("batches", Json.Int t.Service.tt_batches);
          ("rows", Json.Int t.Service.tt_rows);
-         ("wall_s", Json.Float wall_s);
-         ("deltas_per_sec", Json.Float deltas_per_sec);
          ("reopts", Json.Int t.Service.tt_reopts);
          ("swaps", Json.Int t.Service.tt_swaps);
-         ("mean_batch_latency_ms", Json.Float t.Service.tt_mean_latency_ms);
-         ("p99_batch_latency_ms", Json.Float t.Service.tt_p99_latency_ms);
+         ("mean_batch_latency_sim_ms", Json.Float t.Service.tt_mean_latency_ms);
+         ("p99_batch_latency_sim_ms", Json.Float t.Service.tt_p99_latency_ms);
          ("per_tenant", Json.List tenant_rows);
        ]);
   Service.shutdown svc;
   print_endline
     "The daemon sustains all four streams while re-optimizing the drifted\n\
-     tenant online; deltas/sec is wall-clock (trajectory only), while the\n\
-     re-optimization count and p99 batch latency are simulated-clock exact\n\
-     and guarded by check_perf."
+     tenant online.  Batch latencies are on the simulated clock (_sim_ms);\n\
+     the re-optimization count and p99 batch latency are guarded by\n\
+     check_perf."
 
 (* ------------------------------------------------------------------ *)
 (* [Extra 13] Workload-driven candidate mining: a seeded synthetic query
@@ -1254,17 +1221,13 @@ let mined_candidates () =
             Problem.make ~connected_only:true ~max_view_rels:2 ?candidates
               schema
           in
-          let t0 = Unix.gettimeofday () in
           let r, _cert = Astar.search_budgeted ~max_expanded:20_000 ~beam:64 ~jobs p in
-          let dt = Unix.gettimeofday () -. t0 in
-          (p, r, Search_stats.evaluated r.Astar.search_stats, dt)
+          (p, r, Search_stats.evaluated r.Astar.search_stats)
         in
-        let p_full, r_full, e_full, dt_full = run 1 in
-        let p_mined, r_mined, e_mined, dt_mined =
-          run ~candidates:m.Miner.m_candidates 1
-        in
+        let p_full, r_full, e_full = run 1 in
+        let p_mined, r_mined, e_mined = run ~candidates:m.Miner.m_candidates 1 in
         (* Determinism of the mined-space search across pool widths. *)
-        let _, r4, e4, _ = run ~candidates:m.Miner.m_candidates 4 in
+        let _, r4, e4 = run ~candidates:m.Miner.m_candidates 4 in
         assert (Config.equal r_mined.Astar.best r4.Astar.best);
         assert (r_mined.Astar.best_cost = r4.Astar.best_cost);
         assert (r_mined.Astar.stats.Astar.expanded = r4.Astar.stats.Astar.expanded);
@@ -1285,8 +1248,6 @@ let mined_candidates () =
           ("cost_evaluations_full", Json.Int e_full);
           ("cost_evaluations_mined", Json.Int e_mined);
           ("reduction_factor", Json.Float reduction);
-          ("wall_s_full", Json.Float dt_full);
-          ("wall_s_mined", Json.Float dt_mined);
           ("budgeted_cost_ratio", Json.Float cost_ratio);
         ])
       [ ("star-8", 7, false); ("star-10", 9, true); ("star-12", 11, true) ]
@@ -1365,7 +1326,7 @@ let () =
   extra5 ();
   cache_study ();
   parallel_scaling ();
-  incremental_costing ();
+  search_cost_evaluations ();
   extra10 ();
   extra11 ();
   extra12 ();

@@ -37,11 +37,11 @@ let check ?(base = baseline) measured =
    which it regresses. *)
 let guarded =
   [
-    ([ "incremental_costing" ], "cost_evaluations", `Up);
+    ([ "search_cost_evaluations" ], "cost_evaluations", `Up);
     ([ "parallel_scaling"; "cases" ], "modeled_speedup_4", `Down);
     ([ "storage_engine"; "group_commit" ], "wal_syncs", `Up);
     ([ "service" ], "reopts", `Up);
-    ([ "service" ], "p99_batch_latency_ms", `Up);
+    ([ "service" ], "p99_batch_latency_sim_ms", `Up);
     ([ "mined_candidates"; "reduction" ], "cost_evaluations_mined", `Up);
     ([ "mined_candidates"; "reduction" ], "reduction_factor", `Down);
     ([ "corruption" ], "checksummed_refresh_io", `Up);

@@ -106,8 +106,9 @@ let trace_arg =
 let json_arg =
   let doc =
     "Emit one machine-readable JSON document (configuration, cost, search \
-     statistics, cache counters, and the --trace breakdown) instead of the \
-     human tables."
+     statistics, cache counters, the --trace breakdown, and a $(b,wall) \
+     member with phase times and worker-pool shape) instead of the human \
+     tables."
   in
   Arg.(value & flag & info [ "json" ] ~doc)
 
@@ -116,7 +117,8 @@ let jobs_arg =
     "Worker domains for the parallel search phases (default: the \
      $(b,VISMAT_JOBS) environment variable, else the number of cores). \
      The chosen design, its cost, and every search counter are identical \
-     at any setting; only wall-clock time changes."
+     at any setting; only wall-clock time and the cost cache's hit/miss \
+     split change."
   in
   Arg.(value & opt (some int) None & info [ "j"; "jobs" ] ~docv:"N" ~doc)
 
@@ -212,8 +214,10 @@ let report_config schema config cost =
 
 (* One observability document shared by every search subcommand: what ran,
    what it chose, what it cost, and what the search and the cost cache did.
-   [--json] prints it whole; otherwise [headline] runs and [--stats] and
-   [--trace] print the members they name as tables. *)
+   [wall] holds the search's phase times and worker-pool shape, which vary
+   run to run.  [--json] prints it whole; otherwise
+   [headline] runs and [--stats] and [--trace] print the members they name
+   as tables. *)
 let emit ~json ~stats ~trace ~headline ~schema_name ~algorithm ~schema ~p
     ~config ~cost ~search_stats ~extra =
   let report = Vis_core.Explain.explain p config in
@@ -229,7 +233,8 @@ let emit ~json ~stats ~trace ~headline ~schema_name ~algorithm ~schema ~p
          ("cache", Cost.cache_stats_json p.Problem.cache);
          ("explain", Vis_core.Explain.report_json report);
        ]
-      @ extra)
+      @ extra
+      @ [ ("wall", Search_stats.wall_json search_stats) ])
   in
   if json then print_endline (Json.to_string ~indent:2 doc)
   else begin
@@ -238,7 +243,7 @@ let emit ~json ~stats ~trace ~headline ~schema_name ~algorithm ~schema ~p
       print_newline ();
       print_string (T.of_json ~title:key (Json.member key doc))
     in
-    if stats then List.iter section [ "search"; "cache" ];
+    if stats then List.iter section [ "search"; "cache"; "wall" ];
     if trace then section "explain"
   end
 

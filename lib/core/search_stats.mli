@@ -7,9 +7,11 @@
     the largest frontier held, per-rule pruning counts (Table 2's
     pruning-effectiveness data), heuristic admissibility checks (the popped
     [ĉ] sequence of an admissible A* must be non-decreasing), and wall
-    times per phase.  The scoreboard has one report, {!to_json}; both
-    [BENCH_vis.json] and the human tables of [visadvisor --stats]
-    ({!Vis_util.Tableprint.of_json}) are derived from it. *)
+    times per phase.  It has two reports.  {!to_json} is the scoreboard: a
+    pure function of the search, identical at any [--jobs], and the only
+    half [BENCH_vis.json] records.  {!wall_json} holds what the clock and
+    the domain scheduler decide.  The human tables of [visadvisor --stats]
+    ({!Vis_util.Tableprint.of_json}) are derived from both. *)
 
 type t
 
@@ -138,4 +140,11 @@ val phase_timings : t -> (string * float) list
 
 (** {1 Reports} *)
 
+(** Counters, pruning, admissibility and [sharded_rounds]: byte-identical
+    at any pool width. *)
 val to_json : t -> Vis_util.Json.t
+
+(** [phases_seconds] ({!phase_timings}) and [parallel] ([jobs],
+    [domain_work], [work_balance]): they vary run to run, so they are
+    reported but never compared. *)
+val wall_json : t -> Vis_util.Json.t

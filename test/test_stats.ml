@@ -207,18 +207,43 @@ let test_stats_json_valid () =
 let test_render_smoke () =
   let p = Problem.make (schema1 ()) in
   let r = Astar.search p in
-  let text =
-    Vis_util.Tableprint.of_json (Search_stats.to_json r.Astar.search_stats)
+  let mentions report needles =
+    let text = Vis_util.Tableprint.of_json (report r.Astar.search_stats) in
+    List.iter
+      (fun needle ->
+        checkb (Printf.sprintf "render mentions %S" needle) true
+          (let nl = String.length needle and tl = String.length text in
+           let rec scan i =
+             i + nl <= tl && (String.sub text i nl = needle || scan (i + 1))
+           in
+           scan 0))
+      needles
   in
+  mentions Search_stats.to_json [ "expanded"; "pruning"; "incumbent-bound" ];
+  mentions Search_stats.wall_json [ "phases_seconds" ]
+
+(* The scoreboard is a pure function of the search: its rendering is
+   byte-identical at jobs 1 and 4, whatever the clock and the domain
+   scheduler did (those live in [wall_json]). *)
+let test_scoreboard_jobs_independent () =
+  let chain4 = Vis_workload.Schemas.chain ~n:4 () in
   List.iter
-    (fun needle ->
-      checkb (Printf.sprintf "render mentions %S" needle) true
-        (let nl = String.length needle and tl = String.length text in
-         let rec scan i =
-           i + nl <= tl && (String.sub text i nl = needle || scan (i + 1))
-         in
-         scan 0))
-    [ "expanded"; "pruning"; "incumbent-bound"; "phases_seconds" ]
+    (fun (name, run) ->
+      let doc jobs = Json.to_string ~indent:2 (Search_stats.to_json (run jobs)) in
+      Alcotest.(check string) (name ^ ": jobs 1 = jobs 4") (doc 1) (doc 4))
+    [
+      ( "astar schema1",
+        fun jobs -> (Astar.search ~jobs (Problem.make (schema1 ()))).Astar.search_stats );
+      ( "astar sharded chain-4",
+        fun jobs ->
+          (Astar.search ~jobs ~shard:true (Problem.make chain4)).Astar.search_stats );
+      ( "exhaustive schema1 no deletions",
+        fun jobs ->
+          let p = Problem.make (Vis_workload.Schemas.schema1 ~del_frac:0. ()) in
+          (Vis_core.Exhaustive.search ~jobs p).Vis_core.Exhaustive.search_stats );
+      ( "greedy schema1",
+        fun jobs -> (Greedy.search ~jobs (Problem.make (schema1 ()))).Greedy.search_stats );
+    ]
 
 (* Caching on/off must not change what any search algorithm finds. *)
 let test_cache_onoff_same_optimum () =
@@ -278,6 +303,8 @@ let () =
             test_heuristic_stats_invariants;
           Alcotest.test_case "json valid" `Quick test_stats_json_valid;
           Alcotest.test_case "render smoke" `Quick test_render_smoke;
+          Alcotest.test_case "scoreboard jobs-independent" `Quick
+            test_scoreboard_jobs_independent;
           Alcotest.test_case "cache on/off optimum" `Quick
             test_cache_onoff_same_optimum;
         ]
