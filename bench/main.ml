@@ -973,7 +973,7 @@ let extra11 () =
                  ("wal_bytes", Json.Int wal_bytes);
                  ("group_syncs", Json.Int g.Refresh.gr_group_syncs);
                  ("largest_group", Json.Int g.Refresh.gr_max_group);
-                 ("mean_batch_latency_ms", Json.Float mean_latency);
+                 ("mean_batch_latency_sim_ms", Json.Float mean_latency);
                ]
               @ Json.fields (Refresh.report_json r)))
       [ 1; 4 ]
@@ -1011,7 +1011,7 @@ let extra11 () =
        ]);
   print_endline
     "Group commit covers many deferred commits with one durability barrier;\n\
-     mean_batch_latency_ms is what it trades away.  Compression halves the\n\
+     mean_batch_latency_sim_ms is what it trades away.  Compression halves the\n\
      durable pages (model ratio 0.5) while the refresh stays exact."
 
 (* [Extra 14] End-to-end corruption handling: what detection costs when

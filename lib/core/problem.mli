@@ -55,11 +55,12 @@ type t = {
           partial order ≺: subviews before superviews, every element before
           its indexes, compression then base-relation and primary-view
           indexes first (all state-independent) *)
-  encoding : Vis_costmodel.Cost.encoding option;
-      (** the problem's feature universe numbered into bits, when it fits in
-          62 features and the no-sharing ablation did not disable it;
-          {!evaluator} then keys the memo cache by [mask land relevance]
-          (see {!Vis_costmodel.Cost.create}) *)
+  encoding : unit option;
+      (** a class label only, read by the wall-clock benchmark as
+          "packed" ([Some ()]) or "structural" ([None]): [Some ()] exactly
+          when the problem shares its cache and has at most 62 features.
+          Every problem keys its memo cache the same way (see
+          {!Vis_costmodel.Cost.create}). *)
   restricted : candidates option;
       (** the mined candidate restriction [make] was given, if any; consulted
           by {!candidate_indexes_on} so index enumeration and validation stay
@@ -69,13 +70,12 @@ type t = {
 (** [make schema] enumerates the candidates.  [max_view_rels] caps candidate
     supporting views to subsets of at most that many relations — the
     candidate-pruning knob for star/snowflake schemas whose full subset
-    lattice is intractable (and overflows the 62-bit feature encoding); the
-    always-on base and primary-view indexes are unaffected, and the default
-    ([None]) keeps the paper's complete enumeration.  [share_cache] (default true)
-    makes every {!evaluator} share one {!Vis_costmodel.Cost.cache}, so cost
-    derivations are reused across the many configurations a search visits;
-    disabling it isolates each evaluation (for measuring what memoization
-    saves) and also disables the feature encoding.  [compression]
+    lattice is intractable; the always-on base and primary-view indexes are
+    unaffected, and the default ([None]) keeps the paper's complete
+    enumeration.  [share_cache] (default true) makes every {!evaluator}
+    share one {!Vis_costmodel.Cost.cache}, so cost derivations are reused
+    across the many configurations a search visits; disabling it isolates
+    each evaluation (for measuring what memoization saves).  [compression]
     (default false) adds an [F_compress] candidate per always-materialized
     element — a new axis the searches trade on: compressed elements cost
     roughly half the I/Os but a CPU surcharge per page (see
@@ -83,7 +83,7 @@ type t = {
     search space and every cost bitwise identical to a compression-free
     problem.  [candidates] (default [None] — exhaustive enumeration)
     restricts the space to a workload-mined {!candidates} set; all searches
-    and the feature encoding then run on the pruned universe. *)
+    then run on the pruned universe. *)
 val make :
   ?connected_only:bool ->
   ?max_view_rels:int ->

@@ -137,26 +137,6 @@ let signature c =
     c.ccompress;
   Buffer.contents buf
 
-let signature_ints schema c =
-  let elem_code = function
-    | Element.Base i -> (2 * i) + 1
-    | Element.View s -> 2 * Bitset.to_int s
-  in
-  (* Views first (even codes shifted into a distinct range), then indexes,
-     then compressed elements (codes offset past any index encoding); all
-     three lists are sorted, so the encoding is canonical. *)
-  List.map (fun v -> 2 * Bitset.to_int v) c.cviews
-  @ List.map
-      (fun ix ->
-        let attr =
-          (64 * ix.Element.ix_attr.Element.a_rel)
-          + Vis_catalog.Schema.attr_pos schema ix.Element.ix_attr.Element.a_rel
-              ix.Element.ix_attr.Element.a_name
-        in
-        lnot ((elem_code ix.Element.ix_elem * 4096) + attr))
-      c.cindexes
-  @ List.map (fun e -> lnot ((1 lsl 40) + elem_code e)) c.ccompress
-
 let describe schema c =
   let views =
     match c.cviews with

@@ -10,8 +10,8 @@
     materialize, an index to build, or page-level compression to enable on
     an always-materialized element ([F_compress] — fewer I/Os per access,
     more CPU per page; see {!Cost.compress_page_ratio}).  Lives here
-    (rather than in the search layer) so the cost model can number a
-    problem's features once and key its caches by feature bitmask;
+    (rather than in the search layer) so the cost model can key its memo
+    cache by the features a configuration holds;
     [Vis_core.Problem.feature] re-exports the constructors. *)
 type feature =
   | F_view of Vis_util.Bitset.t
@@ -79,11 +79,6 @@ val space : Vis_catalog.Derived.t -> t -> float
 
 (** Canonical textual form, suitable as a hash key. *)
 val signature : t -> string
-
-(** [signature_ints schema c] is a canonical compact integer encoding of the
-    configuration, cheaper to build and hash than {!signature}; used for
-    memoization in the cost evaluator. *)
-val signature_ints : Vis_catalog.Schema.t -> t -> int list
 
 (** [describe schema c] renders the configuration for humans, e.g.
     ["views: σT, ST; indexes: ix(V, R.R0), ix(ST, S.S1)"]. *)

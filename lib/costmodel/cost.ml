@@ -29,36 +29,136 @@ type memo_value =
   | M_loc of prop * locate_method
   | M_elem of float
 
-(* Memoization keys: (element code, kind, relation, restricted feature
-   bitmask, restricted-configuration signature).  Evaluators over a
-   problem's numbered feature universe key by the restricted bitmask alone
-   (4th slot >= 0, empty signature) — a single-word key with no allocation
-   per restriction; evaluators for configurations outside any universe fall
-   back to the structural signature (4th slot = -1).  The two key spaces are
-   disjoint, so both kinds can share one cache.  A custom hash mixes the
-   whole signature — the polymorphic hash only samples a prefix, which
-   collides badly when enumerating index subsets. *)
-module Key = struct
-  type t = int * int * int * int * int list
+(* ------------------------------------------------------------------ *)
+(* Flat int-keyed tables: linear probing over a power-of-two array kept at
+   most half full, [-1] marking an empty cell, backward-shift deletion so
+   there are no tombstones.  Keys are non-negative ints; a value cell holds
+   [Some v] exactly when its key cell is taken, so a lookup returns the
+   stored option as it is and allocates nothing.  The table lives in this
+   module, not a shared one, because dev builds compile with [-opaque]:
+   memo lookups are the hottest calls of a search, and a cross-module call
+   per probe would cost more than the probe. *)
 
-  let equal (a1, b1, c1, m1, l1) (a2, b2, c2, m2, l2) =
-    a1 = a2 && b1 = b2 && c1 = c2 && m1 = m2
-    &&
-    let rec eq l1 l2 =
-      match (l1, l2) with
-      | [], [] -> true
-      | (x : int) :: r1, y :: r2 -> x = y && eq r1 r2
-      | [], _ :: _ | _ :: _, [] -> false
-    in
-    eq l1 l2
+type 'a itbl = {
+  mutable keys : int array;
+  mutable vals : 'a option array;
+  mutable count : int;
+}
 
-  let hash (a, b, c, m, l) =
-    let mix h x = (h * 0x01000193) lxor (x land 0xffffffff) in
-    let h = mix (mix (mix (mix 0x811c9dc5 a) b) c) m in
-    List.fold_left mix h l land max_int
-end
+let itbl_create n =
+  let rec pow2 p = if p >= 2 * n then p else pow2 (2 * p) in
+  let size = pow2 16 in
+  { keys = Array.make size (-1); vals = Array.make size None; count = 0 }
 
-module Ktbl = Hashtbl.Make (Key)
+(* Fibonacci hashing: the product's high bits are the well-mixed ones.  The
+   cell index takes bits 20 and up, the stripe (see [stripe_of]) the top
+   four, so striping does not empty out cell ranges. *)
+let mix key = key * 0x1E3779B97F4A7C15
+
+let home t key = (mix key lsr 20) land (Array.length t.keys - 1)
+
+(* Cell of [key], or the empty cell ending its probe run. *)
+let rec probe keys key i =
+  let k = Array.unsafe_get keys i in
+  if k = key || k < 0 then i
+  else probe keys key ((i + 1) land (Array.length keys - 1))
+
+let itbl_find t key = Array.unsafe_get t.vals (probe t.keys key (home t key))
+
+let rec itbl_add t key v =
+  if 2 * (t.count + 1) > Array.length t.keys then begin
+    let keys = t.keys and vals = t.vals in
+    t.keys <- Array.make (2 * Array.length keys) (-1);
+    t.vals <- Array.make (2 * Array.length keys) None;
+    t.count <- 0;
+    Array.iteri (fun i k -> if k >= 0 then itbl_add t k vals.(i)) keys
+  end;
+  let i = probe t.keys key (home t key) in
+  if t.keys.(i) < 0 then begin
+    t.keys.(i) <- key;
+    t.count <- t.count + 1
+  end;
+  t.vals.(i) <- v
+
+let itbl_remove t key =
+  let keys = t.keys and mask = Array.length t.keys - 1 in
+  let i = probe keys key (home t key) in
+  if keys.(i) >= 0 then begin
+    let hole = ref i and j = ref ((i + 1) land mask) in
+    while keys.(!j) >= 0 do
+      let h = home t keys.(!j) in
+      (* Entry [j] may move into the hole unless its home lies cyclically in
+         (hole, j]. *)
+      let stays =
+        if !hole <= !j then h > !hole && h <= !j else h > !hole || h <= !j
+      in
+      if not stays then begin
+        keys.(!hole) <- keys.(!j);
+        t.vals.(!hole) <- t.vals.(!j);
+        hole := !j
+      end;
+      j := (!j + 1) land mask
+    done;
+    keys.(!hole) <- -1;
+    t.vals.(!hole) <- None;
+    t.count <- t.count - 1
+  end
+
+(* A table with an exact FIFO bound: [ring] holds the keys in insertion
+   order, the oldest at [head]; an insert into a full table evicts that one
+   first.  [ring = [||]] means unbounded. *)
+type 'a fifo_tbl = {
+  tbl : 'a itbl;
+  ring : int array;
+  mutable head : int;
+}
+
+let fifo_create capacity =
+  {
+    tbl = itbl_create (min capacity 256);
+    ring = Array.make capacity 0;
+    head = 0;
+  }
+
+(* Inserts a new key, evicting the oldest when full; [true] when it
+   evicted.  The caller checked that [key] is absent. *)
+let fifo_add f key v =
+  let cap = Array.length f.ring in
+  let evicted =
+    if cap = 0 then false
+    else if f.tbl.count < cap then begin
+      f.ring.((f.head + f.tbl.count) mod cap) <- key;
+      false
+    end
+    else begin
+      itbl_remove f.tbl f.ring.(f.head);
+      f.ring.(f.head) <- key;
+      f.head <- (f.head + 1) mod cap;
+      true
+    end
+  in
+  itbl_add f.tbl key (Some v);
+  evicted
+
+(* The locks of the shared cache guard it only while a multi-domain batch
+   runs (see {!Vis_util.Parallel.concurrent}): at any other time the
+   caller's domain is the only one running, so a lookup takes no mutex. *)
+let lock_if m =
+  let conc = Vis_util.Parallel.concurrent () in
+  if conc then Mutex.lock m;
+  conc
+
+let unlock_if m conc = if conc then Mutex.unlock m
+
+let with_lock m f =
+  let conc = lock_if m in
+  match f () with
+  | r ->
+      unlock_if m conc;
+      r
+  | exception e ->
+      unlock_if m conc;
+      raise e
 
 (* ------------------------------------------------------------------ *)
 (* The configuration-independent half of [Eval] (see [eval_ins] below):
@@ -107,21 +207,24 @@ type skeleton = {
 
 (* The cache is shared by every evaluator of a problem — including, since
    the multicore work, evaluators running concurrently on several domains.
-   It is lock-striped: keys hash to one of a fixed set of stripes, each a
-   small independent cache (table, FIFO eviction queue, counters) guarded by
-   its own mutex.  Counter updates happen under the stripe lock, so
-   hits + misses equals the number of lookups exactly even under concurrent
-   use — no lost updates — while domains touching different stripes never
-   contend.  Cached values equal freshly computed ones (the cost model is a
-   pure function of the restricted configuration signature), so concurrent
-   duplicate computation of a missed key is wasteful but harmless.  The
-   [Eval] skeletons sit beside the stripes in their own table; they are
-   never evicted and never counted. *)
+   It is striped: keys hash to one of a fixed set of stripes, each a small
+   independent cache (table, FIFO bound, counters) with its own mutex.
+   While a multi-domain batch runs, every access takes its stripe's lock,
+   so hits + misses equals the number of lookups exactly — no lost updates
+   — while domains touching different stripes never contend; at any other
+   time there is one domain and no lock is taken (see [lock_if]).  Cached
+   values equal freshly computed ones (the cost model is a pure function of
+   the restricted configuration), so concurrent duplicate computation of a
+   missed key is wasteful but harmless.
+
+   A memo key is one word, [(id, kind, rel)], where [id] is the interned
+   (element, restricted configuration) pair; see [elem_id].  The interning
+   tables and the [Eval] skeletons sit beside the stripes under their own
+   locks; they are never counted, and only the intern trie of a bounded
+   cache is ever evicted. *)
 
 type stripe = {
-  tbl : memo_value Ktbl.t;
-  fifo : Key.t Queue.t;  (* insertion order; only kept for bounded stripes *)
-  s_capacity : int;  (* per-stripe bound; 0 = unbounded *)
+  memo : memo_value fifo_tbl;
   lock : Mutex.t;
   mutable hits : int;
   mutable misses : int;
@@ -130,8 +233,13 @@ type stripe = {
 
 type cache = {
   stripes : stripe array;
-  mask : int;
-  skeletons : (int * int, skeleton) Hashtbl.t;  (* (target set, delta rel) *)
+  smask : int;
+  slots : int itbl;  (* element code -> dense element slot *)
+  fnos : int itbl;  (* feature key -> dense feature number *)
+  trie : int fifo_tbl;  (* (parent id, symbol) -> child id *)
+  mutable next_id : int;
+  in_lock : Mutex.t;  (* guards [slots], [fnos], [trie], [next_id] *)
+  skeletons : skeleton itbl;  (* (target set, delta rel) -> skeleton *)
   sk_lock : Mutex.t;  (* guards [skeletons] *)
 }
 
@@ -142,11 +250,9 @@ type cache_stats = {
   cs_entries : int;
 }
 
-let new_stripe s_capacity =
+let new_stripe capacity =
   {
-    tbl = Ktbl.create 512;
-    fifo = Queue.create ();
-    s_capacity;
+    memo = fifo_create capacity;
     lock = Mutex.create ();
     hits = 0;
     misses = 0;
@@ -175,39 +281,35 @@ let new_cache ?(capacity = 0) () : cache =
   in
   {
     stripes;
-    mask = n_stripes - 1;
-    skeletons = Hashtbl.create 64;
+    smask = n_stripes - 1;
+    slots = itbl_create 64;
+    fnos = itbl_create 64;
+    (* A bounded cache bounds its trie too, or interning alone would grow
+       with the distinct configurations seen. *)
+    trie = fifo_create (4 * capacity);
+    next_id = 1;
+    in_lock = Mutex.create ();
+    skeletons = itbl_create 64;
     sk_lock = Mutex.create ();
   }
 
 let stripe_of c key =
-  (* The table inside each stripe indexes buckets by the low bits of
-     [Key.hash]; pick the stripe from remixed high bits so striping does not
-     empty out bucket ranges. *)
-  let h = Key.hash key in
-  let h = h lxor (h lsr 29) in
-  c.stripes.(((h lsr 16) lxor h) land c.mask)
-
-let locked s f =
-  Mutex.lock s.lock;
-  let r = f () in
-  Mutex.unlock s.lock;
-  r
+  Array.unsafe_get c.stripes ((mix key lsr 59) land c.smask)
 
 let cache_size c =
   Array.fold_left
-    (fun acc s -> acc + locked s (fun () -> Ktbl.length s.tbl))
+    (fun acc s -> acc + with_lock s.lock (fun () -> s.memo.tbl.count))
     0 c.stripes
 
 let cache_stats c =
   Array.fold_left
     (fun acc s ->
-      locked s (fun () ->
+      with_lock s.lock (fun () ->
           {
             cs_hits = acc.cs_hits + s.hits;
             cs_misses = acc.cs_misses + s.misses;
             cs_evictions = acc.cs_evictions + s.evictions;
-            cs_entries = acc.cs_entries + Ktbl.length s.tbl;
+            cs_entries = acc.cs_entries + s.memo.tbl.count;
           }))
     { cs_hits = 0; cs_misses = 0; cs_evictions = 0; cs_entries = 0 }
     c.stripes
@@ -219,7 +321,7 @@ let hit_rate s =
 let reset_cache_stats c =
   Array.iter
     (fun s ->
-      locked s (fun () ->
+      with_lock s.lock (fun () ->
           s.hits <- 0;
           s.misses <- 0;
           s.evictions <- 0))
@@ -237,219 +339,155 @@ let cache_stats_json c =
     ]
 
 (* A lookup that maintains the counters; [store] inserts the freshly
-   computed value, evicting the oldest entry of a bounded stripe.  Both run
-   under the stripe lock. *)
+   computed value, evicting the oldest entry of a bounded stripe. *)
 let cache_find c key =
   let s = stripe_of c key in
-  locked s (fun () ->
-      match Ktbl.find_opt s.tbl key with
-      | Some _ as r ->
-          s.hits <- s.hits + 1;
-          r
-      | None ->
-          s.misses <- s.misses + 1;
-          None)
+  let conc = lock_if s.lock in
+  let r = itbl_find s.memo.tbl key in
+  (match r with
+  | Some _ -> s.hits <- s.hits + 1
+  | None -> s.misses <- s.misses + 1);
+  unlock_if s.lock conc;
+  r
 
 let cache_store c key value =
   let s = stripe_of c key in
-  locked s (fun () ->
-      (* Two domains that missed the same key both store it; the second
-         store only replaces the value, or the key would be queued twice
-         and its stale copy would later evict a live entry. *)
-      if s.s_capacity > 0 && not (Ktbl.mem s.tbl key) then begin
-        if Ktbl.length s.tbl >= s.s_capacity then begin
-          match Queue.take_opt s.fifo with
-          | Some oldest ->
-              Ktbl.remove s.tbl oldest;
-              s.evictions <- s.evictions + 1
-          | None -> ()
-        end;
-        Queue.add key s.fifo
-      end;
-      Ktbl.replace s.tbl key value)
+  let conc = lock_if s.lock in
+  (* Two domains that missed the same key both store it; the second store
+     only replaces the value, or the key would be queued twice and its
+     stale copy would later evict a live entry. *)
+  (match itbl_find s.memo.tbl key with
+  | Some _ -> itbl_add s.memo.tbl key (Some value)
+  | None -> if fifo_add s.memo key value then s.evictions <- s.evictions + 1);
+  unlock_if s.lock conc
+
+(* ------------------------------------------------------------------ *)
+(* Interning.  The memo key of an element is its restricted configuration
+   ({!Config.restrict}: the features whose relation set lies inside the
+   element's), so evaluators of different configurations share every
+   element a difference cannot reach.  The cache numbers each element code
+   and each feature it sees densely, and hash-conses the sequence
+   [element; restricted features in canonical order] in a trie of one-word
+   edges [(parent id, symbol) -> child id]: two (element, restricted
+   configuration) pairs get the same id exactly when they are equal.  Ids
+   are never reused, so an edge evicted from a bounded cache's trie only
+   costs sharing — the next walk takes a fresh id — never a wrong hit. *)
 
 let elem_code = function
   | Element.Base i -> (2 * i) + 1
   | Element.View s -> 2 * Bitset.to_int s
 
-let index_sig_code schema ix =
-  let attr =
-    (64 * ix.Element.ix_attr.Element.a_rel)
-    + Schema.attr_pos schema ix.Element.ix_attr.Element.a_rel
-        ix.Element.ix_attr.Element.a_name
-  in
-  lnot ((elem_code ix.Element.ix_elem * 4096) + attr)
+(* Distinct non-negative keys for the three feature kinds (low two bits). *)
+let feature_key schema = function
+  | Config.F_view w -> Bitset.to_int w lsl 2
+  | Config.F_index ix ->
+      let a = ix.Element.ix_attr in
+      let attr =
+        (64 * a.Element.a_rel)
+        + Schema.attr_pos schema a.Element.a_rel a.Element.a_name
+      in
+      (((elem_code ix.Element.ix_elem * 4096) + attr) lsl 2) lor 1
+  | Config.F_compress e -> (elem_code e lsl 2) lor 2
 
-(* ------------------------------------------------------------------ *)
-(* Feature encoding: a problem's candidate features (views, indexes,
-   compression) numbered once into bits 0..61, so a configuration drawn
-   from that universe is a single [int] mask.  The encoding also
-   precomputes, per maintained element, the *relevance mask* — the bits of
-   features whose relation set is contained in the element's (exactly the
-   features [Config.restrict] would keep) — so the memoization key of an
-   element under mask [m] is just [m land relevance].  Everything here is
-   immutable after construction, so encodings are shared freely across
-   worker domains. *)
+let symbol_bits = 24
 
-exception Encoding_too_large of int
+(* The dense number of [key] in [tbl], assigned on first sight. *)
+let symbol tbl key =
+  match itbl_find tbl key with
+  | Some n -> n
+  | None ->
+      let n = tbl.count in
+      if n >= 1 lsl symbol_bits then
+        invalid_arg "Cost: too many elements or features";
+      itbl_add tbl key (Some n);
+      n
 
-type encoding = {
-  en_schema : Schema.t;
-  en_features : Config.feature array;  (* bit i <-> en_features.(i) *)
-  en_view_bit : (int, int) Hashtbl.t;  (* view-set int -> bit *)
-  en_index_bit : (int, int) Hashtbl.t;  (* index signature code -> bit *)
-  en_compress_bit : (int, int) Hashtbl.t;  (* element signature code -> bit *)
-  en_relevance : (int, int) Hashtbl.t;  (* relation-set int -> relevance mask *)
-}
-
-let compute_relevance features rels =
-  let m = ref 0 in
-  Array.iteri
-    (fun i f -> if Bitset.subset (Config.feature_rels f) rels then m := !m lor (1 lsl i))
-    features;
-  !m
-
-let make_encoding derived features =
-  let schema = Derived.schema derived in
-  let n_features = Array.length features in
-  if n_features > 62 then raise (Encoding_too_large n_features);
-  let view_bit = Hashtbl.create 32 in
-  let index_bit = Hashtbl.create 64 in
-  let compress_bit = Hashtbl.create 16 in
-  Array.iteri
-    (fun i f ->
-      match f with
-      | Config.F_view w -> Hashtbl.replace view_bit (Bitset.to_int w) i
-      | Config.F_index ix -> Hashtbl.replace index_bit (index_sig_code schema ix) i
-      | Config.F_compress e ->
-          Hashtbl.replace compress_bit (elem_code e) i)
-    features;
-  (* Relevance of every element a configuration of the universe can
-     maintain: the base relations, the candidate views, the primary view. *)
-  let relevance_tbl = Hashtbl.create 64 in
-  let add_relevance rels =
-    Hashtbl.replace relevance_tbl (Bitset.to_int rels)
-      (compute_relevance features rels)
-  in
-  for i = 0 to Schema.n_relations schema - 1 do
-    add_relevance (Bitset.singleton i)
-  done;
-  Hashtbl.iter (fun w _ -> add_relevance (Bitset.of_int w)) view_bit;
-  add_relevance (Schema.all_relations schema);
-  {
-    en_schema = schema;
-    en_features = features;
-    en_view_bit = view_bit;
-    en_index_bit = index_bit;
-    en_compress_bit = compress_bit;
-    en_relevance = relevance_tbl;
-  }
-
-(* Relevance of an arbitrary element; the table covers every maintained
-   element of the universe, so misses only happen for out-of-universe
-   queries, answered by a pure scan without mutating the shared table. *)
-let relevance enc rels =
-  match Hashtbl.find_opt enc.en_relevance (Bitset.to_int rels) with
-  | Some m -> m
-  | None -> compute_relevance enc.en_features rels
-
-exception Out_of_universe
-
-let mask_of_config enc config =
-  match
-    let m =
-      List.fold_left
-        (fun acc w ->
-          match Hashtbl.find_opt enc.en_view_bit (Bitset.to_int w) with
-          | Some b -> acc lor (1 lsl b)
-          | None -> raise Out_of_universe)
-        0 (Config.views config)
-    in
-    let m =
-      List.fold_left
-        (fun acc ix ->
-          match
-            Hashtbl.find_opt enc.en_index_bit (index_sig_code enc.en_schema ix)
-          with
-          | Some b -> acc lor (1 lsl b)
-          | None -> raise Out_of_universe)
-        m (Config.indexes config)
-    in
-    List.fold_left
-      (fun acc e ->
-        match
-          Hashtbl.find_opt enc.en_compress_bit (elem_code e)
-        with
-        | Some b -> acc lor (1 lsl b)
-        | None -> raise Out_of_universe)
-      m (Config.compress config)
-  with
-  | m -> Some m
-  | exception Out_of_universe -> None
-
-let config_of_mask enc mask =
-  let views = ref [] and indexes = ref [] and compress = ref [] in
-  Array.iteri
-    (fun i f ->
-      if mask land (1 lsl i) <> 0 then
-        match f with
-        | Config.F_view w -> views := w :: !views
-        | Config.F_index ix -> indexes := ix :: !indexes
-        | Config.F_compress e -> compress := e :: !compress)
-    enc.en_features;
-  List.fold_left Config.add_compress
-    (Config.make ~views:!views ~indexes:!indexes)
-    !compress
-
-(* ------------------------------------------------------------------ *)
-
-type structural_keying = {
-  enc_views : (Bitset.t * int) list;
-  enc_indexes : (Bitset.t * int) list;
-  enc_compress : (Bitset.t * int) list;
-  (* Per-element restricted signature, memoized per evaluator. *)
-  mutable prefixes : (int * int list) list;
-}
-
-type keying =
-  | K_masked of { enc : encoding; kmask : int }
-      (* a configuration inside a numbered universe: restriction is a mask
-         intersection, keys carry no allocation *)
-  | K_structural of structural_keying
+let intern c parent sym =
+  let key = (parent lsl symbol_bits) lor sym in
+  match itbl_find c.trie.tbl key with
+  | Some id -> id
+  | None ->
+      let id = c.next_id in
+      c.next_id <- id + 1;
+      ignore (fifo_add c.trie key id);
+      id
 
 type t = {
   derived : Derived.t;
   config : Config.t;
   cache : cache;
-  keying : keying;
+  fnos : int array;  (* the configuration's features, in canonical order *)
+  frels : Bitset.t array;  (* their relation sets *)
+  mutable ids : int array;  (* element slot -> interned id; 0 until known *)
 }
 
-let structural_keying schema config =
-  let enc_views =
-    List.map (fun v -> (v, 2 * Bitset.to_int v)) (Config.views config)
-  in
-  let enc_indexes =
-    List.map
-      (fun ix -> (Element.rels ix.Element.ix_elem, index_sig_code schema ix))
-      (Config.indexes config)
-  in
-  (* Codes must match {!Config.signature_ints} so structural keys agree with
-     the encoded universe's decoded configurations. *)
-  let enc_compress =
-    List.map
-      (fun e -> (Element.rels e, lnot ((1 lsl 40) + elem_code e)))
-      (Config.compress config)
-  in
-  K_structural { enc_views; enc_indexes; enc_compress; prefixes = [] }
-
-let create ?cache ?encoding derived config =
+let create ?cache derived config =
   let cache = match cache with Some c -> c | None -> new_cache () in
-  let keying =
-    match Option.bind encoding (fun enc -> mask_of_config enc config) with
-    | Some kmask -> K_masked { enc = Option.get encoding; kmask }
-    | None -> structural_keying (Derived.schema derived) config
+  let schema = Derived.schema derived in
+  (* Views, then indexes, then compressed elements, each list sorted: the
+     order [Config.restrict] keeps, so equal restrictions walk the trie
+     along the same edges. *)
+  let features =
+    Array.of_list
+      (List.map (fun w -> Config.F_view w) (Config.views config)
+      @ List.map (fun ix -> Config.F_index ix) (Config.indexes config)
+      @ List.map (fun e -> Config.F_compress e) (Config.compress config))
   in
-  { derived; config; cache; keying }
+  let keys = Array.map (feature_key schema) features in
+  let fnos =
+    with_lock cache.in_lock (fun () -> Array.map (symbol cache.fnos) keys)
+  in
+  {
+    derived;
+    config;
+    cache;
+    fnos;
+    frels = Array.map Config.feature_rels features;
+    ids = [||];
+  }
+
+(* The interned id of [target] under the evaluator's configuration, computed
+   at most once per evaluator and kept by element slot. *)
+let intern_elem t target code =
+  let c = t.cache in
+  let rels = Element.rels target in
+  let slot, id =
+    with_lock c.in_lock (fun () ->
+        let slot = symbol c.slots code in
+        let id = ref (intern c 0 slot) in
+        for i = 0 to Array.length t.fnos - 1 do
+          if Bitset.subset t.frels.(i) rels then id := intern c !id t.fnos.(i)
+        done;
+        (slot, !id))
+  in
+  if slot >= Array.length t.ids then begin
+    let ids = Array.make (max (slot + 1) (2 * Array.length t.ids)) 0 in
+    Array.blit t.ids 0 ids 0 (Array.length t.ids);
+    t.ids <- ids
+  end;
+  t.ids.(slot) <- id;
+  id
+
+let elem_id t target =
+  let c = t.cache in
+  let code = elem_code target in
+  let conc = lock_if c.in_lock in
+  let slot = match itbl_find c.slots code with Some s -> s | None -> -1 in
+  unlock_if c.in_lock conc;
+  if slot >= 0 && slot < Array.length t.ids && t.ids.(slot) > 0 then
+    t.ids.(slot)
+  else intern_elem t target code
+
+let k_elem = 0
+
+let k_ins = 1
+
+let k_del = 2
+
+let k_upd = 3
+
+(* [rel] is a relation number, or [-1] for an element's whole cost. *)
+let memo_key id ~kind ~rel = (id lsl 9) lor (kind lsl 7) lor (rel + 1)
 
 let config t = t.config
 
@@ -483,31 +521,6 @@ let derived t = t.derived
 let schema t = Derived.schema t.derived
 
 let mem_pages t = float_of_int (schema t).Schema.mem_pages
-
-let elem_prefix k target =
-  let code = elem_code target in
-  match List.assq_opt code k.prefixes with
-  | Some p -> p
-  | None ->
-      let rels = Element.rels target in
-      let keep (frels, c) = if Bitset.subset frels rels then Some c else None in
-      let p =
-        List.filter_map keep k.enc_views
-        @ List.filter_map keep k.enc_indexes
-        @ List.filter_map keep k.enc_compress
-      in
-      k.prefixes <- (code, p) :: k.prefixes;
-      p
-
-let memo_key t ~target ~rel ~kind : Key.t =
-  match t.keying with
-  | K_masked { enc; kmask } ->
-      ( elem_code target,
-        Char.code kind,
-        rel,
-        kmask land relevance enc (Element.rels target),
-        [] )
-  | K_structural k -> (elem_code target, Char.code kind, rel, -1, elem_prefix k target)
 
 (* ------------------------------------------------------------------ *)
 (* Index maintenance: Apply_ix of Table 4.  [k] is the number of delta
@@ -668,17 +681,24 @@ let make_skeleton d target_set r =
    one published is the one every later derivation uses. *)
 let skeleton t target_set r =
   let c = t.cache in
-  let key = (Bitset.to_int target_set, r) in
-  match Mutex.protect c.sk_lock (fun () -> Hashtbl.find_opt c.skeletons key) with
+  let key = (Bitset.to_int target_set lsl 6) lor r in
+  let conc = lock_if c.sk_lock in
+  let found = itbl_find c.skeletons key in
+  unlock_if c.sk_lock conc;
+  match found with
   | Some sk -> sk
   | None ->
       let sk = make_skeleton t.derived target_set r in
-      Mutex.protect c.sk_lock (fun () ->
-          match Hashtbl.find_opt c.skeletons key with
-          | Some first -> first
-          | None ->
-              Hashtbl.add c.skeletons key sk;
-              sk)
+      let conc = lock_if c.sk_lock in
+      let sk =
+        match itbl_find c.skeletons key with
+        | Some first -> first
+        | None ->
+            itbl_add c.skeletons key (Some sk);
+            sk
+      in
+      unlock_if c.sk_lock conc;
+      sk
 
 let view_unit t sk target_set w =
   let slot = sk.sk_views.(dense_of_set sk.sk_dense w) in
@@ -914,10 +934,11 @@ let prop_delupd_uncached t ~target ~rel ~kind =
   end
 
 (* ------------------------------------------------------------------ *)
-(* Memoized entry points. *)
+(* Memoized entry points.  [element_cost] interns its element once and
+   hands the id to the three propagations it sums. *)
 
-let prop_ins t ~target ~rel =
-  let key = memo_key t ~target ~rel ~kind:'i' in
+let ins_id t id ~target ~rel =
+  let key = memo_key id ~kind:k_ins ~rel in
   match cache_find t.cache key with
   | Some (M_ins (p, plan)) -> (p, plan)
   | Some (M_loc _ | M_elem _) -> assert false
@@ -926,9 +947,9 @@ let prop_ins t ~target ~rel =
       cache_store t.cache key (M_ins (p, plan));
       (p, plan)
 
-let prop_loc t ~target ~rel ~kind =
-  let tag = match kind with `Del -> 'd' | `Upd -> 'u' in
-  let key = memo_key t ~target ~rel ~kind:tag in
+let loc_id t id ~target ~rel ~kind =
+  let kind_code = match kind with `Del -> k_del | `Upd -> k_upd in
+  let key = memo_key id ~kind:kind_code ~rel in
   match cache_find t.cache key with
   | Some (M_loc (p, how)) -> (p, how)
   | Some (M_ins _ | M_elem _) -> assert false
@@ -937,12 +958,17 @@ let prop_loc t ~target ~rel ~kind =
       cache_store t.cache key (M_loc (p, how));
       (p, how)
 
-let prop_del t ~target ~rel = prop_loc t ~target ~rel ~kind:`Del
+let prop_ins t ~target ~rel = ins_id t (elem_id t target) ~target ~rel
 
-let prop_upd t ~target ~rel = prop_loc t ~target ~rel ~kind:`Upd
+let prop_del t ~target ~rel =
+  loc_id t (elem_id t target) ~target ~rel ~kind:`Del
+
+let prop_upd t ~target ~rel =
+  loc_id t (elem_id t target) ~target ~rel ~kind:`Upd
 
 let element_cost t elem =
-  let key = memo_key t ~target:elem ~rel:(-1) ~kind:'E' in
+  let id = elem_id t elem in
+  let key = memo_key id ~kind:k_elem ~rel:(-1) in
   match cache_find t.cache key with
   | Some (M_elem c) -> c
   | Some (M_ins _ | M_loc _) -> assert false
@@ -950,9 +976,9 @@ let element_cost t elem =
       let c =
         Bitset.fold
           (fun r acc ->
-            let pi, _ = prop_ins t ~target:elem ~rel:r in
-            let pd, _ = prop_del t ~target:elem ~rel:r in
-            let pu, _ = prop_upd t ~target:elem ~rel:r in
+            let pi, _ = ins_id t id ~target:elem ~rel:r in
+            let pd, _ = loc_id t id ~target:elem ~rel:r ~kind:`Del in
+            let pu, _ = loc_id t id ~target:elem ~rel:r ~kind:`Upd in
             acc +. prop_total pi +. prop_total pd +. prop_total pu)
           (Element.rels elem) 0.
       in

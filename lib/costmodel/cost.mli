@@ -18,10 +18,19 @@
 
     The plan space of [Eval] is searched exhaustively by dynamic programming
     over covered relation subsets with left-deep joins, costing nested-block
-    and index joins per Table 5.  Evaluations are memoized in a {!cache}
-    keyed by the configuration restricted to the features that can influence
-    the expression (see {!Config.restrict}), so search algorithms evaluating
-    many configurations share work.
+    and index joins per Table 5.
+
+    {b Memoization.}  Evaluations are memoized in a {!cache} keyed by the
+    configuration restricted to the features that can influence the
+    expression (see {!Config.restrict}), so search algorithms evaluating
+    many configurations share work.  The cache interns each (element,
+    restricted configuration) pair to a dense int id — equal pairs get equal
+    ids, at any number of features — and each evaluator computes an
+    element's id at most once.  A memo key is [(id, kind, relation)] packed
+    into one word and looked up in a flat open-addressing table, so a
+    lookup hashes no list and allocates nothing.  The cache's locks are
+    taken only while a multi-domain {!Vis_util.Parallel} batch runs
+    ({!Vis_util.Parallel.concurrent}); a jobs-1 search takes none.
 
     [Eval] runs in two parts.  The {e skeleton} of a (target relation set,
     delta relation) pair holds everything that does not depend on the
@@ -47,11 +56,14 @@ type cache
     counted; without it the cache grows with the distinct evaluations.  The
     search algorithms share one unbounded cache per problem by default.
 
-    The cache is safe for concurrent use from multiple domains (it is
-    lock-striped; see {!Vis_util.Parallel}).  Counters are updated under the
-    stripe locks, so [cs_hits + cs_misses] equals the number of lookups
-    exactly even under contention.  A bounded cache distributes [capacity]
-    over the stripes, so the total entry count never exceeds [capacity]. *)
+    The cache is safe for concurrent use from multiple domains: it is
+    striped, and while a multi-domain {!Vis_util.Parallel} batch runs every
+    access takes its stripe's lock, so [cs_hits + cs_misses] equals the
+    number of lookups exactly even under contention.  Outside such batches
+    only the caller's domain runs and no lock is taken.  A bounded cache
+    distributes [capacity] over the stripes, so the total entry count never
+    exceeds [capacity]; its intern table is bounded too (to [4 * capacity]
+    edges), so its memory does not grow with the configurations seen. *)
 val new_cache : ?capacity:int -> unit -> cache
 
 (** Number of distinct (target, delta, restricted-configuration) evaluations
@@ -83,18 +95,10 @@ val cache_stats_json : cache -> Vis_util.Json.t
 
 type t
 
-(** A problem's candidate features numbered into bits (see
-    {!make_encoding}). *)
-type encoding
-
-(** [create ?cache ?encoding derived config] binds the evaluator.  Without
-    [cache] a private one is created.  With [encoding] and a configuration
-    inside its universe, memo keys are single-word masks (see
-    {!make_encoding}); otherwise they are structural signatures.  The two
-    key spaces are disjoint and induce the same cache-hit equivalence
-    classes, so the costs are identical either way. *)
-val create :
-  ?cache:cache -> ?encoding:encoding -> Vis_catalog.Derived.t -> Config.t -> t
+(** [create ?cache derived config] binds the evaluator.  Without [cache] a
+    private one is created.  An evaluator holds per-element interned ids in
+    mutable state: use it from one domain at a time. *)
+val create : ?cache:cache -> Vis_catalog.Derived.t -> Config.t -> t
 
 val config : t -> Config.t
 
@@ -186,34 +190,6 @@ val total : t -> float
 (** [total_of ?cache derived config] is a convenience for
     [total (create ?cache derived config)]. *)
 val total_of : ?cache:cache -> Vis_catalog.Derived.t -> Config.t -> float
-
-(** {1 Feature encoding}
-
-    A problem's candidate features (supporting views, indexes and
-    compression candidates) can be numbered once into bits [0..61]; a
-    configuration drawn from that universe is then a single [int] mask, and
-    the memo-cache key of an element under a mask is the mask intersected
-    with the element's precomputed {e relevance mask} — no allocation per
-    restriction.  [Vis_core.Problem.evaluator] keys its evaluators this way
-    whenever the problem's universe fits. *)
-
-(** Raised by {!make_encoding} when the universe exceeds 62 features (the
-    paper's schemas stay far below; callers fall back to structural
-    keys). *)
-exception Encoding_too_large of int
-
-(** [make_encoding derived features] numbers [features] — bit [i] is
-    [features.(i)] — and precomputes per-element relevance masks.  The
-    encoding is immutable and safely shared across domains. *)
-val make_encoding : Vis_catalog.Derived.t -> Config.feature array -> encoding
-
-(** [mask_of_config enc c] packs a symbolic configuration, or [None] when any
-    of its features is outside the universe. *)
-val mask_of_config : encoding -> Config.t -> int option
-
-(** [config_of_mask enc m] decodes a mask back to the canonical symbolic
-    configuration ([mask_of_config] is its left inverse). *)
-val config_of_mask : encoding -> int -> Config.t
 
 (** {1 Rendering} *)
 

@@ -544,20 +544,21 @@ let check_maintenance_cycle cx schema =
       | other -> other)
 
 (* ------------------------------------------------------------------ *)
-(* Mask-keyed memo cache vs structural costing.  A problem whose universe
-   fits the 62-bit encoding keys its shared memo cache by
-   [mask land relevance]; the reference is a fresh structural evaluator
-   ([Cost.total_of] with a private cache).  Along a random walk of feature
-   toggles every mask-keyed total must equal the reference bitwise, and a
-   structurally-keyed shared cache fed the same walk must see exactly the
-   same misses and entries: the two keyings promise the same cache-hit
-   equivalence classes, so a key that is too coarse (collisions, wrong
-   totals) or too fine (lost sharing) both show up here.  Every
-   insertion-propagation result along the walk — [p_eval] bits and the
-   winning plan — must match a fresh structural evaluator too, which checks
-   that the [Eval] skeletons the shared cache keeps are reused across
-   configurations without leaking one configuration's choices into
-   another's.  A*'s optimum is then re-costed the same way. *)
+(* The problem's shared memo cache vs fresh evaluators.  Along a random
+   walk of feature toggles every shared-cache total must equal a fresh
+   evaluator's ([Cost.total_of] with a private cache) bitwise, and the
+   shared cache must hold exactly one entry per memo key of every restrict
+   class the walk touched: [1 + 3·|rels e|] (the element's sum plus an
+   insertion, deletion and update propagation per base relation) per
+   distinct [(e, Config.restrict c ~rels:(rels e))].  The walk runs on one
+   domain, so it must also derive each entry exactly once (misses =
+   entries).  A key that is too fine (lost sharing) or too coarse
+   (collisions, wrong totals) shows up here.  Every insertion-propagation
+   result along the walk — [p_eval] bits and the winning plan — must match
+   a fresh evaluator too, which checks that the [Eval] skeletons the shared
+   cache keeps are reused across configurations without leaking one
+   configuration's choices into another's.  A*'s optimum is then re-costed
+   the same way. *)
 
 (* The first (element, relation) whose insertion propagation differs
    between two evaluators of the same configuration, if any. *)
@@ -587,14 +588,16 @@ let ins_mismatch schema a b =
         None)
     (Cost.maintained_elements b)
 
-let fast_vs_slow ~compression cx schema =
+let shared_vs_fresh ~compression cx schema =
   let p = Problem.make ~compression schema in
-  if p.Problem.encoding = None then
-    skip "feature encoding unavailable (>62 features)"
+  let features = Array.of_list p.Problem.features in
+  (* A problem without candidates has nothing to walk (the shrinker can
+     reach one). *)
+  if Array.length features = 0 then skip "no candidate features"
   else
     let derived = p.Problem.derived in
-    let features = Array.of_list p.Problem.features in
-    let structural = Cost.new_cache () in
+    let classes = Hashtbl.create 256 in
+    let expected = ref 0 in
     let rec walk config steps =
       if steps = 0 then Pass
       else
@@ -604,51 +607,53 @@ let fast_vs_slow ~compression cx schema =
           else if Problem.applicable p config f then Problem.add_feature config f
           else config
         in
-        let masked = Problem.total p config' in
-        let shared = Cost.total_of ~cache:structural derived config' in
+        let shared = Problem.total p config' in
         let fresh = Cost.total_of derived config' in
-        if masked <> fresh || shared <> fresh then
-          fail "mask-keyed total %.17g / shared structural %.17g differ from \
-                fresh structural %.17g"
-            masked shared fresh
+        if shared <> fresh then
+          fail "shared-cache total %.17g differs from fresh %.17g" shared fresh
         else
-          match
-            ins_mismatch schema (Problem.evaluator p config')
-              (Cost.create derived config')
-          with
-          | Some m -> fail "mask-keyed propagation differs: %s" m
+          let eval = Problem.evaluator p config' in
+          List.iter
+            (fun e ->
+              let rels = Vis_costmodel.Element.rels e in
+              let cls = (e, Config.signature (Config.restrict config' ~rels)) in
+              if not (Hashtbl.mem classes cls) then begin
+                Hashtbl.add classes cls ();
+                expected := !expected + 1 + (3 * Bitset.cardinal rels)
+              end)
+            (Cost.maintained_elements eval);
+          match ins_mismatch schema eval (Cost.create derived config') with
+          | Some m -> fail "shared-cache propagation differs: %s" m
           | None -> walk config' (steps - 1)
     in
     match walk Config.empty 16 with
     | (Fail _ | Skip _) as r -> r
     | Pass -> (
-        let sm = Cost.cache_stats p.Problem.cache
-        and ss = Cost.cache_stats structural in
-        if sm.Cost.cs_misses <> ss.Cost.cs_misses
-           || sm.Cost.cs_entries <> ss.Cost.cs_entries
-        then
-          fail "mask-keyed cache saw %d misses / %d entries, structural %d / %d"
-            sm.Cost.cs_misses sm.Cost.cs_entries ss.Cost.cs_misses
-            ss.Cost.cs_entries
+        let s = Cost.cache_stats p.Problem.cache in
+        if s.Cost.cs_entries <> !expected || s.Cost.cs_misses <> !expected then
+          fail
+            "shared cache holds %d entries after %d misses; the walk's restrict \
+             classes need %d"
+            s.Cost.cs_entries s.Cost.cs_misses !expected
         else
           match astar_capped cx p with
           | None -> skip "A* expansion budget exceeded (%d)" cx.cx_max_expanded
           | Some a ->
               let fresh = Cost.total_of derived a.Astar.best in
               if a.Astar.best_cost <> fresh then
-                fail "A* optimum %.17g differs from fresh structural %.17g"
-                  a.Astar.best_cost fresh
+                fail "A* optimum %.17g differs from fresh %.17g" a.Astar.best_cost
+                  fresh
               else Pass)
 
-let check_fast_vs_slow cx schema = fast_vs_slow ~compression:false cx schema
+let check_shared_vs_fresh cx schema = shared_vs_fresh ~compression:false cx schema
 
 (* The same walk with the compression axis enabled: page-compression
-   features join the encoding, and every mask-keyed total — compression
-   factors included — must stay bitwise equal to the structural derivation.
-   A memo-key collision between a compressed and an uncompressed
-   configuration shows up here immediately. *)
-let check_fast_vs_slow_compression cx schema =
-  fast_vs_slow ~compression:true cx schema
+   features join the restricted configurations, and every shared-cache
+   total — compression factors included — must stay bitwise equal to a
+   fresh derivation.  A memo-key collision between a compressed and an
+   uncompressed configuration shows up here immediately. *)
+let check_shared_vs_fresh_compression cx schema =
+  shared_vs_fresh ~compression:true cx schema
 
 (* ------------------------------------------------------------------ *)
 (* WAL-protected refresh under a random seeded fault plan (PR 5): the
@@ -1322,9 +1327,9 @@ let all =
     (* Appended last: the trial RNG is keyed by registry position, so
        inserting earlier would perturb every older oracle's stream. *)
     {
-      o_name = "fast-vs-slow-cost";
-      o_doc = "mask-keyed costs and cache sharing equal the structural keying";
-      o_check = check_fast_vs_slow;
+      o_name = "shared-vs-fresh-cost";
+      o_doc = "shared-cache costs equal fresh ones; one entry per restrict key";
+      o_check = check_shared_vs_fresh;
     };
     (* Appended last — see the note above. *)
     {
@@ -1334,9 +1339,9 @@ let all =
     };
     (* Appended last — see the note above. *)
     {
-      o_name = "fast-vs-slow-compression";
-      o_doc = "mask-keyed costing equals structural keying with compression";
-      o_check = check_fast_vs_slow_compression;
+      o_name = "shared-vs-fresh-compression";
+      o_doc = "shared-cache costs equal fresh ones with compression";
+      o_check = check_shared_vs_fresh_compression;
     };
     (* Appended last — see the note above. *)
     {

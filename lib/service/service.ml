@@ -602,7 +602,7 @@ let tenant_stats_json s =
       ("unrecoverable", Json.Int s.ts_unrecoverable);
       ("opt_factor", Json.Float s.ts_opt_factor);
       ("ewma_ratio", Json.Float s.ts_ewma_ratio);
-      ("p99_latency_ms", Json.Float (percentile ~p:0.99 s.ts_latencies_ms));
+      ("p99_latency_sim_ms", Json.Float (percentile ~p:0.99 s.ts_latencies_ms));
     ]
 
 let shutdown t = Parallel.shutdown t.pool

@@ -30,6 +30,14 @@ type pool = {
 
 let jobs pool = pool.n_jobs
 
+(* Batches currently running on more than one domain, over all pools.  The
+   only [Domain.spawn] is in [create] and workers run user code only inside
+   such a batch, so while this is zero the caller's domain is the only one
+   running library code. *)
+let live_batches = Atomic.make 0
+
+let concurrent () = Atomic.get live_batches > 0
+
 let work_counts pool = Array.copy pool.tasks_run
 
 let diff_counts ~before ~after =
@@ -144,6 +152,7 @@ let run pool ~chunks f =
         in
         record ()
     in
+    Atomic.incr live_batches;
     Mutex.lock pool.m;
     pool.epoch <- pool.epoch + 1;
     let j =
@@ -172,6 +181,7 @@ let run pool ~chunks f =
     done;
     pool.job <- None;
     Mutex.unlock pool.m;
+    Atomic.decr live_batches;
     match Atomic.get failure with
     | Some (_, e, bt) -> Printexc.raise_with_backtrace e bt
     | None -> ()

@@ -78,6 +78,16 @@ val with_pool : ?jobs:int -> (pool -> 'a) -> 'a
     caller's workers. *)
 val using : ?jobs:int -> ?pool:pool -> (pool -> 'a) -> 'a
 
+(** [concurrent ()] is [true] while some batch of any pool runs on more
+    than one domain: from before its job is published until after its
+    drain barrier, also when a chunk raised.  Batches of a [jobs = 1] pool
+    and single-chunk batches run inline on the caller and never set it.
+    This module holds the library's only [Domain.spawn], so while
+    [concurrent ()] is [false] the caller's domain is the only one running:
+    shared structures that are never handed to another domain by hand (the
+    cost model's memo cache) skip their locks then. *)
+val concurrent : unit -> bool
+
 (** [run pool ~chunks f] executes [f 0 .. f (chunks - 1)] exactly once
     each, in parallel, and returns when all are done.  The low-level
     primitive under the maps. *)

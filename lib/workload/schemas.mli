@@ -72,7 +72,7 @@ val chain :
     selectivity [sel].  Foreign keys are distinct from primary keys, so
     {!Vis_workload.Datagen} can realize the schema and refreshes are
     executable.  Use [Problem.make ~connected_only:true ~max_view_rels] to
-    keep the candidate-view lattice (and the feature encoding) tractable at
+    keep the candidate-view lattice tractable at
     this scale. *)
 val star :
   ?base_card:float ->

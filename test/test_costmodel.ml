@@ -1,7 +1,7 @@
 (* Tests for vis_costmodel: the yao/Y_WAP estimators, elements, configurations,
    the Appendix-A cost engine (golden values on Schema 1 plus structural
-   properties like monotonicity in the configuration), and the feature
-   encoding that keys a problem's shared memo cache. *)
+   properties like monotonicity in the configuration), and the interned
+   keys of a problem's shared memo cache. *)
 
 module Bitset = Vis_util.Bitset
 module Schema = Vis_catalog.Schema
@@ -310,25 +310,18 @@ let prop_shared_cache_consistent =
       Vis_util.Num.approx_equal fresh shared && shared = again)
 
 (* ------------------------------------------------------------------ *)
-(* The feature encoding: a problem of at most 62 features numbers them into
-   bits and keys its memo cache by [mask land relevance].  Masks must
-   mirror the symbolic configurations exactly, and mask-keyed totals must
-   equal a fresh structural derivation bitwise. *)
+(* One memo key per restrict class.  The shared cache interns each
+   (element, restricted configuration) pair, so after a sequence of totals
+   it holds exactly [1 + 3·|rels e|] entries (the element's sum plus one
+   insertion, deletion and update propagation per base relation) per
+   distinct pair the totals touched — no more (a key too fine loses
+   sharing), no fewer (a key too coarse merges configurations the model
+   tells apart) — and a jobs-1 run derives each entry exactly once. *)
 
 module Problem = Vis_core.Problem
 module Schemas = Vis_workload.Schemas
 
 let checki = Alcotest.(check int)
-
-let encoding_exn p =
-  match p.Problem.encoding with
-  | Some enc -> enc
-  | None -> Alcotest.fail "expected a feature encoding"
-
-let mask_exn enc config =
-  match Cost.mask_of_config enc config with
-  | Some m -> m
-  | None -> Alcotest.fail "configuration outside the universe"
 
 (* A valid configuration reached by random feature toggles — the states
    the searches visit. *)
@@ -344,51 +337,6 @@ let random_walk rng p =
   done;
   !config
 
-let encoded_schemas () =
-  [ Schemas.two_relation (); Schemas.schema1 (); Schemas.schema2 () ]
-
-let test_feature_bit_round_trip () =
-  List.iter
-    (fun schema ->
-      let p = Problem.make schema in
-      let enc = encoding_exn p in
-      (* Bit [i] is the [i]-th feature of the problem, in order. *)
-      List.iteri
-        (fun i f ->
-          checki "feature -> bit" (1 lsl i)
-            (mask_exn enc (Problem.add_feature Config.empty f));
-          checkb "bit -> feature" true
-            (Config.equal
-               (Problem.add_feature Config.empty f)
-               (Cost.config_of_mask enc (1 lsl i))))
-        p.Problem.features)
-    (encoded_schemas ())
-
-let test_mask_config_round_trip () =
-  let rng = Random.State.make [| 42 |] in
-  List.iter
-    (fun schema ->
-      let p = Problem.make schema in
-      let enc = encoding_exn p in
-      let n = List.length p.Problem.features in
-      (* Arbitrary masks: decode then re-encode is the identity. *)
-      for _ = 1 to 200 do
-        let mask = Random.State.int rng (1 lsl n) in
-        checkb "mask -> config -> mask" true
-          (Cost.mask_of_config enc (Cost.config_of_mask enc mask) = Some mask)
-      done;
-      (* Walked configurations: encode then decode is the identity. *)
-      for _ = 1 to 50 do
-        let config = random_walk rng p in
-        checkb "config -> mask -> config" true
-          (Config.equal config (Cost.config_of_mask enc (mask_exn enc config)))
-      done;
-      (* A configuration outside the universe has no mask. *)
-      let foreign = Config.add_view Config.empty (Bitset.of_int 0x155555) in
-      checkb "foreign view unmappable" true
-        (Cost.mask_of_config enc foreign = None))
-    [ Schemas.two_relation (); Schemas.schema1 () ]
-
 (* Set-based containment: every view and index of [a] appears in [b]. *)
 let config_subset a b =
   List.for_all (fun v -> Config.has_view b v) (Config.views a)
@@ -396,35 +344,6 @@ let config_subset a b =
        (fun (ix : Element.index) ->
          Config.has_index b ix.Element.ix_elem ix.Element.ix_attr)
        (Config.indexes a)
-
-let test_subset_law () =
-  let rng = Random.State.make [| 7 |] in
-  List.iter
-    (fun schema ->
-      let p = Problem.make schema in
-      let enc = encoding_exn p in
-      for _ = 1 to 300 do
-        let ca = random_walk rng p and cb = random_walk rng p in
-        let ma = mask_exn enc ca and mb = mask_exn enc cb in
-        checkb "mask subset = set containment" (config_subset ca cb)
-          (ma land lnot mb = 0)
-      done)
-    (encoded_schemas ())
-
-let test_has_feature_has_view () =
-  let rng = Random.State.make [| 11 |] in
-  let p = Problem.make (schema1 ()) in
-  let enc = encoding_exn p in
-  for _ = 1 to 100 do
-    let config = random_walk rng p in
-    let mask = mask_exn enc config in
-    List.iteri
-      (fun i f ->
-        checkb "has_feature = mask bit"
-          (mask land (1 lsl i) <> 0)
-          (Problem.has_feature config f))
-      p.Problem.features
-  done
 
 let test_applicable_and_drop_closure () =
   let rng = Random.State.make [| 13 |] in
@@ -457,43 +376,58 @@ let test_applicable_and_drop_closure () =
       done)
     [ Schemas.two_relation (); Schemas.schema1 () ]
 
-let test_too_large_fallback () =
-  let p = Problem.make (Schemas.chain ~n:7 ()) in
-  checkb ">62 features really" true (List.length p.Problem.features > 62);
-  checkb "no encoding past 62 features" true (Option.is_none p.Problem.encoding);
-  (* The raw constructor reports the size in the exception. *)
-  (match
-     Cost.make_encoding p.Problem.derived (Array.of_list p.Problem.features)
-   with
-  | exception Cost.Encoding_too_large n ->
-      checki "exception carries the count" (List.length p.Problem.features) n
-  | _ -> Alcotest.fail "make_encoding accepted > 62 features");
-  let g = Vis_core.Greedy.search p in
-  checkb "structural greedy works" true
-    (Problem.valid_config p g.Vis_core.Greedy.best)
+(* Problems on both sides of the old 62-feature line, with and without the
+   compression axis. *)
+let keyed_problems () =
+  [
+    ("schema1", Problem.make (Schemas.schema1 ()));
+    ("schema1 compressed", Problem.make ~compression:true (Schemas.schema1 ()));
+    ("chain-7", Problem.make (Schemas.chain ~n:7 ()));
+    ( "star-6 views <= 3",
+      Problem.make ~max_view_rels:3 (Schemas.star ~n_dims:6 ()) );
+  ]
 
-let test_no_sharing_disables_encoding () =
-  let schema = Schemas.two_relation () in
-  checkb "no-sharing ablation disables encoding" true
-    (Option.is_none (Problem.make ~share_cache:false schema).Problem.encoding);
-  checkb "default has encoding" true
-    (Option.is_some (Problem.make schema).Problem.encoding)
+let test_one_key_per_restrict_class () =
+  let rng = Random.State.make [| 19 |] in
+  List.iter
+    (fun (name, p) ->
+      let classes = Hashtbl.create 256 in
+      let expected = ref 0 in
+      for _ = 1 to 40 do
+        let config = random_walk rng p in
+        ignore (Problem.total p config);
+        List.iter
+          (fun e ->
+            let rels = Element.rels e in
+            let cls = (e, Config.signature (Config.restrict config ~rels)) in
+            if not (Hashtbl.mem classes cls) then begin
+              Hashtbl.add classes cls ();
+              expected := !expected + 1 + (3 * Bitset.cardinal rels)
+            end)
+          (Cost.maintained_elements (Problem.evaluator p config))
+      done;
+      let s = Cost.cache_stats p.Problem.cache in
+      checki (name ^ ": entries") !expected s.Cost.cs_entries;
+      checki (name ^ ": misses") !expected s.Cost.cs_misses)
+    (keyed_problems ())
 
-let test_masked_vs_structural_totals () =
+let test_shared_vs_fresh_totals () =
   let rng = Random.State.make [| 17 |] in
   List.iter
-    (fun schema ->
-      let p = Problem.make schema in
-      ignore (encoding_exn p);
+    (fun (name, p) ->
       let total config = Problem.total p config in
-      checkb "empty total agrees" true
+      checkb (name ^ ": empty total agrees") true
         (total Config.empty = Cost.total_of p.Problem.derived Config.empty);
-      for _ = 1 to 60 do
+      for _ = 1 to 30 do
         let config = random_walk rng p in
-        checkb "masked = fresh structural (bitwise)" true
-          (total config = Cost.total_of p.Problem.derived config)
+        checkb (name ^ ": shared = fresh (bitwise)") true
+          (Int64.equal
+             (Int64.bits_of_float (total config))
+             (Int64.bits_of_float (Cost.total_of p.Problem.derived config)))
       done)
-    [ Schemas.two_relation (); Schemas.schema1 (); Schemas.chain ~n:4 () ]
+    (("two-relation", Problem.make (Schemas.two_relation ()))
+    :: ("chain-4", Problem.make (Schemas.chain ~n:4 ()))
+    :: keyed_problems ())
 
 (* ------------------------------------------------------------------ *)
 (* Reference [Eval]: a naive transcription of the Appendix-A insertion DP
@@ -875,32 +809,17 @@ let () =
               prop_total_nonnegative;
               prop_shared_cache_consistent;
             ] );
-      ( "round trips",
-        [
-          Alcotest.test_case "feature <-> bit" `Quick
-            test_feature_bit_round_trip;
-          Alcotest.test_case "mask <-> config" `Quick
-            test_mask_config_round_trip;
-        ] );
       ( "bit laws",
         [
-          Alcotest.test_case "subset vs set containment" `Quick
-            test_subset_law;
-          Alcotest.test_case "has_feature / has_view" `Quick
-            test_has_feature_has_view;
           Alcotest.test_case "applicable / drop closure" `Quick
             test_applicable_and_drop_closure;
         ] );
-      ( "fallbacks",
-        [
-          Alcotest.test_case "> 62 features" `Quick test_too_large_fallback;
-          Alcotest.test_case "escape hatches" `Quick
-            test_no_sharing_disables_encoding;
-        ] );
       ( "evaluator agreement",
         [
-          Alcotest.test_case "fast = slow, bitwise" `Quick
-            test_masked_vs_structural_totals;
+          Alcotest.test_case "one key per restrict class" `Quick
+            test_one_key_per_restrict_class;
+          Alcotest.test_case "shared = fresh, bitwise" `Quick
+            test_shared_vs_fresh_totals;
         ] );
       ( "reference DP",
         [

@@ -1,6 +1,7 @@
 (* Pins the shapes of the generated star/snowflake workloads: relation
    counts, candidate-feature counts under the production candidate caps,
-   and whether the 62-bit feature encoding survives.  These numbers are
+   and whether the problem stays in the benchmark's "packed" class (at
+   most 62 features, [Problem.encoding]).  These numbers are
    load-bearing — the parallel-scaling study, the CI smoke and the sharded
    search tests all assume them — so a generator change that shifts them
    must show up here first.  Also checks that the generated schemas are
@@ -36,7 +37,7 @@ let test_snowflake_shapes () =
   shape "snowflake-7"
     (Schemas.snowflake ~arms:3 ~depth:2 ())
     ~rels:7 ~features:44 ~packed:true;
-  (* 62 features — exactly at the encoding's capacity *)
+  (* 62 features — the largest packed problem *)
   shape "snowflake-9"
     (Schemas.snowflake ~arms:4 ~depth:2 ())
     ~rels:9 ~features:62 ~packed:true

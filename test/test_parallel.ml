@@ -2,7 +2,7 @@
    (result determinism, exception propagation, degenerate inputs), the
    determinism guarantee of the parallel searches (jobs=1 and jobs=4 must
    return bit-identical optima, costs and counters), and the exactness of
-   the lock-striped cost-cache counters under concurrent use. *)
+   the striped cost-cache counters under concurrent use. *)
 
 module Bitset = Vis_util.Bitset
 module Parallel = Vis_util.Parallel
@@ -94,6 +94,37 @@ let test_work_accounting () =
         Parallel.diff_counts ~before ~after:(Parallel.work_counts pool)
       in
       checki "all chunks accounted" (n / 4) (Array.fold_left ( + ) 0 work))
+
+(* [Parallel.concurrent] is what lets the cost cache skip its locks: it must
+   be set in every chunk of a batch that may run on several domains, and
+   clear wherever only the caller runs — including after a failed batch. *)
+let test_batch_signal () =
+  checkb "top level" false (Parallel.concurrent ());
+  Parallel.with_pool ~jobs:1 (fun pool ->
+      checkb "jobs:1 pool" false
+        (Array.exists Fun.id
+           (Parallel.map_array ~chunk:1 pool
+              (fun _ -> Parallel.concurrent ())
+              (Array.make 4 ()))));
+  Parallel.with_pool ~jobs:4 (fun pool ->
+      checkb "single-chunk batch" false
+        (Array.exists Fun.id
+           (Parallel.map_array ~chunk:4 pool
+              (fun _ -> Parallel.concurrent ())
+              (Array.make 4 ())));
+      checkb "every chunk of a 4-chunk batch" true
+        (Array.for_all Fun.id
+           (Parallel.map_array ~chunk:1 pool
+              (fun _ -> Parallel.concurrent ())
+              (Array.make 4 ())));
+      checkb "between batches" false (Parallel.concurrent ());
+      (match
+         Parallel.run pool ~chunks:4 (fun c -> if c = 2 then failwith "chunk")
+       with
+      | () -> Alcotest.fail "expected the chunk's failure"
+      | exception Failure _ -> ());
+      checkb "after a batch that raised" false (Parallel.concurrent ()));
+  checkb "after the pools" false (Parallel.concurrent ())
 
 (* ------------------------------------------------------------------ *)
 (* Search determinism: jobs=4 must equal jobs=1 bit for bit. *)
@@ -235,15 +266,16 @@ let test_sharded_star_identity () =
         (lower_bound <= r4.Astar.best_cost);
       checkb "star-8: gap sane" true (gap >= 0. && gap <= 1.)
 
-(* Same identity on a snowflake that keeps the 62-bit feature encoding, so
-   the sharded search over the mask-keyed memo cache is covered too. *)
+(* Same identity on a snowflake of at most 62 features (the benchmark's
+   "packed" class), so the sharded search is covered on both sides of that
+   line. *)
 let test_sharded_snowflake_identity () =
   let mk () =
     let p =
       Problem.make ~connected_only:true ~max_view_rels:2
         (Schemas.snowflake ~arms:3 ~depth:2 ())
     in
-    checkb "snowflake keeps its encoding" true (p.Problem.encoding <> None);
+    checkb "snowflake in the packed class" true (p.Problem.encoding <> None);
     p
   in
   ignore (same_budgeted "snowflake-7" ~mk ~budget:1_200 ~beam:48)
@@ -470,6 +502,7 @@ let () =
           Alcotest.test_case "deterministic exceptions" `Quick
             test_exception_deterministic;
           Alcotest.test_case "work accounting" `Quick test_work_accounting;
+          Alcotest.test_case "batch signal" `Quick test_batch_signal;
         ] );
       ( "search determinism",
         [

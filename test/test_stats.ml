@@ -104,6 +104,34 @@ let test_cache_eviction () =
   (* Re-evaluating after evictions still gives the same answer. *)
   checkf "post-eviction total" unbounded (Cost.total_of ~cache derived Config.empty)
 
+(* Every distinct configuration adds interned ids and memo keys; a bounded
+   cache must hold its memory to what its capacity allows — the memo
+   stripes and the intern trie alike — however many configurations it
+   sees. *)
+let test_cache_bounded_memory () =
+  let p = Problem.make (schema1 ()) in
+  let features = Array.of_list p.Problem.features in
+  let cache = Cost.new_cache ~capacity:64 () in
+  let rng = Random.State.make [| 3 |] in
+  let seen = Hashtbl.create 16_384 in
+  let config = ref Config.empty in
+  while Hashtbl.length seen < 10_000 do
+    let f = features.(Random.State.int rng (Array.length features)) in
+    if Problem.has_feature !config f then config := Problem.drop_feature !config f
+    else if Problem.applicable p !config f then config := Problem.add_feature !config f;
+    let signature = Config.signature !config in
+    if not (Hashtbl.mem seen signature) then begin
+      Hashtbl.add seen signature ();
+      ignore (Cost.total_of ~cache p.Problem.derived !config)
+    end
+  done;
+  let s = Cost.cache_stats cache in
+  checkb "evictions happened" true (s.Cost.cs_evictions > 10_000);
+  checkb "stays within capacity" true (s.Cost.cs_entries <= 64);
+  let w = Obj.reachable_words (Obj.repr cache) in
+  if w > 16_384 then
+    Alcotest.failf "cache holds %d words after 10k configurations" w
+
 let random_config ~rng p =
   let views =
     List.filter (fun _ -> Random.State.bool rng) p.Problem.candidate_views
@@ -294,6 +322,8 @@ let () =
         [
           Alcotest.test_case "counters" `Quick test_cache_counters;
           Alcotest.test_case "eviction" `Quick test_cache_eviction;
+          Alcotest.test_case "memory bounded by capacity" `Quick
+            test_cache_bounded_memory;
         ]
         @ qt [ prop_cache_transparent; prop_bounded_cache_transparent ] );
       ( "search stats",
