@@ -296,11 +296,6 @@ let new_cache ?(capacity = 0) () : cache =
 let stripe_of c key =
   Array.unsafe_get c.stripes ((mix key lsr 59) land c.smask)
 
-let cache_size c =
-  Array.fold_left
-    (fun acc s -> acc + with_lock s.lock (fun () -> s.memo.tbl.count))
-    0 c.stripes
-
 let cache_stats c =
   Array.fold_left
     (fun acc s ->

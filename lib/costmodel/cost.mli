@@ -66,10 +66,6 @@ type cache
     edges), so its memory does not grow with the configurations seen. *)
 val new_cache : ?capacity:int -> unit -> cache
 
-(** Number of distinct (target, delta, restricted-configuration) evaluations
-    stored — a measure of optimizer work. *)
-val cache_size : cache -> int
-
 (** Observability counters of a shared cache.  [cs_misses] is the number of
     cost derivations actually performed; [cs_hits] the number a fresh cache
     would have re-derived — so the cache cut cost-model work by the factor

@@ -31,6 +31,30 @@ type page_hooks = {
 
 exception Corruption of int
 
+(* One protection record per page: its hooks, and the seal stored at the
+   last write-out (meaningless when [pr_checksum = None]).  Verify and
+   reseal each find it with one gid lookup. *)
+type prot = {
+  pr_checksum : (unit -> int) option;
+  pr_corrupt : Faults.corruption -> int -> unit;
+  mutable seal : int;
+}
+
+(* Multiplicative hashing: gids are dense and sequential, so multiply by an
+   odd constant and keep middle bits to spread strided runs over a
+   power-of-two table. *)
+let gid_hash g = (g * 0x1E3779B97F4A7C15) lsr 20
+
+(* The gid-keyed side tables, int-specialised: no polymorphic hash or
+   compare per lookup. *)
+module Gid_tbl = Hashtbl.Make (struct
+  type t = int
+
+  let equal (a : int) b = a = b
+
+  let hash = gid_hash
+end)
+
 (* Protected pages' stored checksums live on dedicated checksum pages, one
    per [cs_span]-gid bucket; read-path verification touches the bucket page
    so the detection overhead shows up in I/O counts, machine-independently.
@@ -60,10 +84,9 @@ type t = {
   mutable pslot : int array;
   mutable next_page : int;
   mutable plan : Faults.t;
-  hooks : (int, page_hooks) Hashtbl.t;
-  sealed : (int, int) Hashtbl.t;  (* gid -> checksum stored at last write-out *)
-  quarantine : (int, unit) Hashtbl.t;
-  cs_pages : (int, int) Hashtbl.t;  (* gid / cs_span -> checksum-page gid *)
+  prots : prot Gid_tbl.t;
+  quarantine : unit Gid_tbl.t;
+  cs_pages : int Gid_tbl.t;  (* gid / cs_span -> checksum-page gid *)
 }
 
 let rec pow2_above n k = if k >= n then k else pow2_above n (2 * k)
@@ -87,18 +110,14 @@ let create ~capacity ~stats =
     pslot = Array.make tsize nil;
     next_page = 0;
     plan = Faults.none ();
-    hooks = Hashtbl.create 64;
-    sealed = Hashtbl.create 64;
-    quarantine = Hashtbl.create 8;
-    cs_pages = Hashtbl.create 8;
+    prots = Gid_tbl.create 64;
+    quarantine = Gid_tbl.create 8;
+    cs_pages = Gid_tbl.create 8;
   }
 
 (* --- Page table ------------------------------------------------------- *)
 
-(* Multiplicative hashing: gids are dense and sequential, so multiply by an
-   odd constant and keep middle bits to spread strided runs over the
-   table. *)
-let home t page = (page * 0x1E3779B97F4A7C15) lsr 20 land (Array.length t.pkey - 1)
+let home t page = gid_hash page land (Array.length t.pkey - 1)
 
 (* Position of [page] in the table, or of the empty cell ending its run. *)
 let rec probe t page i =
@@ -242,8 +261,8 @@ let victim t = victim_from t t.lru
    resealing never issues I/O of its own (and never re-enters the pool
    from inside an eviction). *)
 let reseal t page =
-  match Hashtbl.find_opt t.hooks page with
-  | Some { hk_checksum = Some cs; _ } -> Hashtbl.replace t.sealed page (cs ())
+  match Gid_tbl.find_opt t.prots page with
+  | Some ({ pr_checksum = Some cs; _ } as p) -> p.seal <- cs ()
   | _ -> ()
 
 (* A physical write of [page] just succeeded: reseal, then poll the fault
@@ -256,8 +275,8 @@ let wrote t page =
   match Faults.damage t.plan Faults.Write ~page with
   | None -> ()
   | Some (way, sel) ->
-      (match Hashtbl.find_opt t.hooks page with
-      | Some h -> h.hk_corrupt way sel
+      (match Gid_tbl.find_opt t.prots page with
+      | Some p -> p.pr_corrupt way sel
       | None -> ());
       if way = Faults.Torn_write then
         raise
@@ -302,9 +321,9 @@ let insert_resident t page ~dirty:d ~count_read =
    pages are never themselves protected, so the recursion through [touch]
    is one level deep.  Mismatches quarantine the page and count a failure;
    [verify_seal]'s caller decides whether to raise. *)
-let rec verify_seal t page cs =
+let rec verify_seal t page p cs =
   Iostats.record_checksum_verification t.io;
-  (match Hashtbl.find_opt t.cs_pages (page / cs_span) with
+  (match Gid_tbl.find_opt t.cs_pages (page / cs_span) with
   | Some g ->
       (* Checksum pages are hot, tiny metadata: pin the bucket page on its
          first admission so capacity pressure cannot thrash it — one read
@@ -312,10 +331,10 @@ let rec verify_seal t page cs =
          the next verification re-reads and re-pins.) *)
       if find t g <> nil then touch t g ~dirty:false else pin t g
   | None -> ());
-  let ok = Hashtbl.find_opt t.sealed page = Some (cs ()) in
+  let ok = p.seal = cs () in
   if not ok then begin
     Iostats.record_checksum_failure t.io;
-    Hashtbl.replace t.quarantine page ()
+    Gid_tbl.replace t.quarantine page ()
   end;
   ok
 
@@ -323,10 +342,10 @@ let rec verify_seal t page cs =
    not re-raise, so rebuild passes can run without tripping over the page
    they are replacing. *)
 and verify_on_read t page =
-  if not (Hashtbl.mem t.quarantine page) then
-    match Hashtbl.find_opt t.hooks page with
-    | Some { hk_checksum = Some cs; _ } ->
-        if not (verify_seal t page cs) then raise (Corruption page)
+  if not (Gid_tbl.mem t.quarantine page) then
+    match Gid_tbl.find_opt t.prots page with
+    | Some ({ pr_checksum = Some cs; _ } as p) ->
+        if not (verify_seal t page p cs) then raise (Corruption page)
     | _ -> ()
 
 and touch t page ~dirty =
@@ -414,56 +433,59 @@ let residency t =
 
 (* --- Corruption protection ------------------------------------------- *)
 
-let protect t page hooks =
-  Hashtbl.replace t.hooks page hooks;
-  Hashtbl.remove t.quarantine page;
-  match hooks.hk_checksum with
-  | Some cs ->
-      (* Lazily allocate the bucket's checksum page.  Not via [fresh_page]:
-         checksum pages are pool metadata, and [protect] runs inside
-         callers' no-pool-calls mutation phases (a B+-tree split registers
-         its new sibling mid-mutation), so it must not hit a fault point. *)
-      let bucket = page / cs_span in
-      if not (Hashtbl.mem t.cs_pages bucket) then begin
-        let gid = t.next_page in
-        t.next_page <- t.next_page + 1;
-        Hashtbl.add t.cs_pages bucket gid
-      end;
-      Hashtbl.replace t.sealed page (cs ())
-  | None -> ()
+let protect t page { hk_checksum; hk_corrupt } =
+  Gid_tbl.remove t.quarantine page;
+  let seal =
+    match hk_checksum with
+    | None -> 0
+    | Some cs ->
+        (* Lazily allocate the bucket's checksum page.  Not via
+           [fresh_page]: checksum pages are pool metadata, and [protect]
+           runs inside callers' no-pool-calls mutation phases (a B+-tree
+           split registers its new sibling mid-mutation), so it must not
+           hit a fault point. *)
+        let bucket = page / cs_span in
+        if not (Gid_tbl.mem t.cs_pages bucket) then begin
+          let gid = t.next_page in
+          t.next_page <- t.next_page + 1;
+          Gid_tbl.add t.cs_pages bucket gid
+        end;
+        cs ()
+  in
+  Gid_tbl.replace t.prots page
+    { pr_checksum = hk_checksum; pr_corrupt = hk_corrupt; seal }
 
 let unprotect t page =
-  Hashtbl.remove t.hooks page;
-  Hashtbl.remove t.sealed page;
-  Hashtbl.remove t.quarantine page
+  Gid_tbl.remove t.prots page;
+  Gid_tbl.remove t.quarantine page
 
-let protected t page = Hashtbl.mem t.hooks page
+let protected t page = Gid_tbl.mem t.prots page
 
 (* Non-raising verification probe for the scrub pass.  Unverifiable pages
    (unprotected, or registered without a checksum hook) report clean. *)
 let verify t page =
-  if Hashtbl.mem t.quarantine page then false
+  if Gid_tbl.mem t.quarantine page then false
   else
-    match Hashtbl.find_opt t.hooks page with
-    | Some { hk_checksum = Some cs; _ } -> verify_seal t page cs
+    match Gid_tbl.find_opt t.prots page with
+    | Some ({ pr_checksum = Some cs; _ } as p) -> verify_seal t page p cs
     | _ -> true
 
-let quarantined t page = Hashtbl.mem t.quarantine page
+let quarantined t page = Gid_tbl.mem t.quarantine page
 
-let quarantine t page = Hashtbl.replace t.quarantine page ()
+let quarantine t page = Gid_tbl.replace t.quarantine page ()
 
 (* At-rest damage injection for oracles and benches: mutate the payload
    directly, bypassing the device write path, so the stored seal (computed
    at the last write-out) convicts the page.  No-op on pages that own no
    payload. *)
 let corrupt_page t page way sel =
-  match Hashtbl.find_opt t.hooks page with
-  | Some h -> h.hk_corrupt way sel
+  match Gid_tbl.find_opt t.prots page with
+  | Some p -> p.pr_corrupt way sel
   | None -> ()
 
 (* Sorted, so damage plans indexing into it replay identically. *)
 let protected_gids t =
-  Hashtbl.fold
-    (fun g h acc -> if h.hk_checksum <> None then g :: acc else acc)
-    t.hooks []
+  Gid_tbl.fold
+    (fun g p acc -> if p.pr_checksum <> None then g :: acc else acc)
+    t.prots []
   |> List.sort compare

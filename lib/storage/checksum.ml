@@ -16,16 +16,16 @@ let add = mix
 
 let finish h = h land max_int
 
-let array ?(init = empty) a =
-  finish (Array.fold_left mix init a)
+(* The 4-lane kernel over [words.{off .. off + len - 1}] (see
+   checksum_stubs.c), for [len > 0] on a window already checked. *)
+external lanes :
+  Arena.words ->
+  (int[@untagged]) ->
+  (int[@untagged]) ->
+  (int[@untagged]) ->
+  (int[@untagged]) = "vis_checksum_arena_byte" "vis_checksum_arena"
+[@@noalloc]
 
-(* The hottest loop of a checksummed read: index the backing array in this
-   module (see [Arena]) after one window check, not [Arena.get] per word. *)
 let arena ?(init = empty) arena ~off ~len =
   if not (Arena.in_use arena ~off ~len) then invalid_arg "Checksum.arena";
-  let d = Arena.words arena in
-  let h = ref init in
-  for i = off to off + len - 1 do
-    h := mix !h (Bigarray.Array1.unsafe_get d i)
-  done;
-  finish !h
+  if len = 0 then finish init else lanes (Arena.words arena) init off len

@@ -205,7 +205,10 @@ let protected_payload ?(len = 8) pool =
   Buffer_pool.touch pool gid ~dirty:true;
   Buffer_pool.protect pool gid
     {
-      Buffer_pool.hk_checksum = Some (fun () -> Checksum.array payload);
+      Buffer_pool.hk_checksum =
+        Some
+          (fun () ->
+            Checksum.finish (Array.fold_left Checksum.add Checksum.empty payload));
       hk_corrupt =
         (fun _way sel ->
           let i = sel mod len in

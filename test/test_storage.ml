@@ -515,6 +515,56 @@ let test_pool_bounded_memory () =
   let w = words () in
   if w > 4096 then Alcotest.failf "pool holds %d words after 100k pages" w
 
+(* Re-protecting a quarantined page lifts the fence and seals the payload
+   as it is now.  Protection state is one record per page, dropped by
+   [unprotect], so a long stream of protected pages through a small pool
+   leaves no per-page state behind.  (Each 512-gid bucket's checksum page
+   stays pinned once verified, so the pool does grow by one frame per
+   bucket; 10k pages touch 20 of them.) *)
+let test_pool_protect_lifecycle () =
+  let pool, stats = fresh_pool ~capacity:8 () in
+  let slots = 32 and words = 4 in
+  let a = Arena.create () in
+  ignore (Arena.alloc a (slots * words));
+  let hooks slot =
+    let off = slot * words in
+    {
+      Buffer_pool.hk_checksum = Some (fun () -> Checksum.arena a ~off ~len:words);
+      hk_corrupt = (fun _ sel -> Arena.set a (off + (sel mod words)) sel);
+    }
+  in
+  let g = Buffer_pool.fresh_page pool in
+  Buffer_pool.touch_new pool g;
+  Buffer_pool.protect pool g (hooks 0);
+  Buffer_pool.corrupt_page pool g Faults.Bit_flip 0x51;
+  checkb "damage convicts" false (Buffer_pool.verify pool g);
+  checkb "convicted page is quarantined" true (Buffer_pool.quarantined pool g);
+  Buffer_pool.protect pool g (hooks 0);
+  checkb "protect clears the quarantine" false (Buffer_pool.quarantined pool g);
+  checkb "protect seals the current payload" true (Buffer_pool.verify pool g);
+  Buffer_pool.unprotect pool g;
+  let lag = slots / 2 in
+  let gids = Array.make slots 0 in
+  for i = 0 to 9_999 do
+    let g = Buffer_pool.fresh_page pool in
+    Buffer_pool.touch_new pool g;
+    Buffer_pool.protect pool g (hooks (i mod slots));
+    gids.(i mod slots) <- g;
+    if i >= lag then begin
+      (* Long evicted: a miss-read verifies it, then the probe does. *)
+      let old = gids.((i - lag) mod slots) in
+      Buffer_pool.touch pool old ~dirty:false;
+      if not (Buffer_pool.verify pool old) then
+        Alcotest.failf "page %d failed verification" old;
+      Buffer_pool.unprotect pool old
+    end
+  done;
+  checkb "pages were verified" true
+    (Iostats.checksum_verifications stats > 19_000);
+  checki "no page failed" 1 (Iostats.checksum_failures stats);
+  let w = Obj.reachable_words (Obj.repr pool) in
+  if w > 4096 then Alcotest.failf "pool holds %d words after 10k protected pages" w
+
 (* ------------------------------------------------------------------ *)
 (* Fault plans. *)
 
@@ -892,6 +942,77 @@ let test_window_errors () =
     ]
 
 (* ------------------------------------------------------------------ *)
+(* Page-seal kernel. *)
+
+(* The page seal exactly as [Checksum]'s interface defines it, folded in
+   OCaml's own ints: the kernel must agree with it bit for bit. *)
+let reference_seal ?(init = Checksum.empty) w ~off ~len =
+  if len = 0 then Checksum.finish init
+  else begin
+    let lane = Array.init 4 (fun k -> init + k) in
+    let body = len - (len mod 4) in
+    for i = 0 to len - 1 do
+      let k = if i < body then i mod 4 else 0 in
+      lane.(k) <- Checksum.add lane.(k) w.(off + i)
+    done;
+    let h = Checksum.add (Checksum.add lane.(0) lane.(1)) lane.(2) in
+    Checksum.finish (Checksum.add (Checksum.add h lane.(3)) len)
+  end
+
+(* Seeded words that reach every bit: full-range randoms (so half are
+   negative, with bit 62 set) with the extremes sprinkled in. *)
+let seal_words n =
+  let st = Random.State.make [| 0x5ea1 |] in
+  let special = [| max_int; min_int; -1; 0; 1 lsl 62; (1 lsl 62) lor 5 |] in
+  Array.init n (fun i ->
+      if i mod 7 = 3 then special.(i / 7 mod Array.length special)
+      else Int64.to_int (Random.State.bits64 st))
+
+let arena_of w =
+  let a = Arena.create ~initial_words:4 () in
+  let off = Arena.alloc a (Array.length w) in
+  Arena.blit_from_array a ~off w;
+  a
+
+let test_seal_matches_reference () =
+  let w = seal_words 1104 in
+  let a = arena_of w in
+  for off = 0 to 3 do
+    for len = 0 to 1100 do
+      let want = reference_seal w ~off ~len and got = Checksum.arena a ~off ~len in
+      if got <> want then
+        Alcotest.failf "off %d len %d: kernel %#x, reference %#x" off len got want
+    done
+  done;
+  checki "a running state seeds the lanes"
+    (reference_seal ~init:12345 w ~off:1 ~len:607)
+    (Checksum.arena ~init:12345 a ~off:1 ~len:607)
+
+let test_seal_detects_damage () =
+  let n = 608 in
+  let w = seal_words n in
+  let a = arena_of w in
+  let seal () = Checksum.arena a ~off:0 ~len:n in
+  let clean = seal () in
+  for i = 0 to n - 1 do
+    for b = 0 to 61 do
+      Arena.set a i (w.(i) lxor (1 lsl b));
+      if seal () = clean then Alcotest.failf "flip of bit %d in word %d undetected" b i;
+      Arena.set a i w.(i)
+    done
+  done;
+  (* A torn write the way heap pages take one: a kept prefix, then stale
+     garbage marked with bit 60. *)
+  for s = 0 to n - 1 do
+    for i = s to n - 1 do
+      Arena.set a i ((0x7ea5 + i) lor (1 lsl 60))
+    done;
+    if seal () = clean then Alcotest.failf "tear from word %d undetected" s;
+    Arena.blit_from_array a ~off:0 w
+  done;
+  checki "restored payload seals as before" clean (seal ())
+
+(* ------------------------------------------------------------------ *)
 (* B+-tree. *)
 
 let rid i = { Heap_file.rid_page = i; rid_slot = i mod 7 }
@@ -1059,6 +1180,8 @@ let () =
             test_pool_reference_differential;
           Alcotest.test_case "memory bounded by capacity" `Quick
             test_pool_bounded_memory;
+          Alcotest.test_case "protect, verify, unprotect" `Quick
+            test_pool_protect_lifecycle;
         ]
         @ qt [ prop_pool_no_capacity_misses ] );
       ( "faults",
@@ -1087,6 +1210,13 @@ let () =
           Alcotest.test_case "scan_where under faults" `Quick
             test_heap_scan_where_faults;
           Alcotest.test_case "window errors" `Quick test_window_errors;
+        ] );
+      ( "page seal",
+        [
+          Alcotest.test_case "kernel matches the reference" `Quick
+            test_seal_matches_reference;
+          Alcotest.test_case "every flip and tear detected" `Quick
+            test_seal_detects_damage;
         ] );
       ( "btree",
         [
