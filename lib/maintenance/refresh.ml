@@ -1,4 +1,5 @@
 module Bitset = Vis_util.Bitset
+module Int_hashtbl = Vis_util.Int_hashtbl
 module Schema = Vis_catalog.Schema
 module Element = Vis_costmodel.Element
 module Cost = Vis_costmodel.Cost
@@ -122,6 +123,11 @@ let temp_table pool schema desc =
   Table.create pool ~desc ~page_bytes:schema.Schema.page_bytes
     ~attr_bytes:Warehouse.attr_bytes
 
+(* The key of a saved view delta in [apply]'s [saved] table: the pair
+   (relation, view set) packed into one int.  [rel < n_relations] and a set
+   of [n] relations is below [2^n], so the packing is injective. *)
+let saved_key schema ~rel set = (Bitset.to_int set * Schema.n_relations schema) + rel
+
 (* Execute the optimizer's insertion update path for one (view, relation)
    pair, returning rows in the view's canonical layout. *)
 let exec_ins_plan w ~saved ~ins_temp ~rel ~target_set (plan : Cost.ins_plan) =
@@ -133,7 +139,7 @@ let exec_ins_plan w ~saved ~ins_temp ~rel ~target_set (plan : Cost.ins_plan) =
         ( Reldesc.of_relation schema rel,
           List.filter (Datagen.passes_selections schema ~rel) raw )
     | Cost.From_saved wset ->
-        let temp : Table.t = Hashtbl.find saved (rel, Bitset.to_int wset) in
+        let temp : Table.t = Int_hashtbl.find saved (saved_key schema ~rel wset) in
         (Warehouse.view_desc schema wset, Exec.scan temp ())
   in
   let step (desc, rows) (elem, how) =
@@ -280,7 +286,7 @@ let apply w eval ~sink ~with_views ~staged (batch : Datagen.batch) =
   let schema = w.Warehouse.w_schema in
   let pool = w.Warehouse.w_pool in
   let n = Schema.n_relations schema in
-  let saved : (int * int, Table.t) Hashtbl.t = Hashtbl.create 16 in
+  let saved : Table.t Int_hashtbl.t = Int_hashtbl.create 16 in
   for r = 0 to n - 1 do
     (* Insertions: views smallest-first, then the base replica. *)
     if batch.Datagen.b_ins.(r) <> [] then begin
@@ -297,7 +303,7 @@ let apply w eval ~sink ~with_views ~staged (batch : Datagen.batch) =
               if not (Bitset.equal set (Schema.all_relations schema)) then begin
                 let save = temp_table pool schema (Warehouse.view_desc schema set) in
                 List.iter (fun row -> ignore (Table.insert save row)) rows;
-                Hashtbl.replace saved (r, Bitset.to_int set) save
+                Int_hashtbl.replace saved (saved_key schema ~rel:r set) save
               end
             end)
           w.Warehouse.w_views;
@@ -333,8 +339,8 @@ let apply w eval ~sink ~with_views ~staged (batch : Datagen.batch) =
       let ko = key_offset schema r in
       let shipped = Exec.scan staged.st_upd.(r) () in
       let keys = List.map (fun row -> row.(ko)) shipped in
-      let replacement = Hashtbl.create (2 * List.length shipped) in
-      List.iter (fun row -> Hashtbl.replace replacement row.(ko) row) shipped;
+      let replacement = Int_hashtbl.create (2 * List.length shipped) in
+      List.iter (fun row -> Int_hashtbl.replace replacement row.(ko) row) shipped;
       if with_views then
         List.iter
           (fun (set, vtable) ->
@@ -346,7 +352,7 @@ let apply w eval ~sink ~with_views ~staged (batch : Datagen.batch) =
               let key_off = Reldesc.offset desc ~rel:r ~attr:key_attr in
               List.iter
                 (fun (rid, old_row) ->
-                  match Hashtbl.find_opt replacement old_row.(key_off) with
+                  match Int_hashtbl.find_opt replacement old_row.(key_off) with
                   | None -> ()
                   | Some fresh ->
                       let updated = Array.copy old_row in
@@ -364,7 +370,7 @@ let apply w eval ~sink ~with_views ~staged (batch : Datagen.batch) =
       let located = locate w w.Warehouse.w_bases.(r) ~rel:r ~keys how in
       List.iter
         (fun (rid, old_row) ->
-          match Hashtbl.find_opt replacement old_row.(ko) with
+          match Int_hashtbl.find_opt replacement old_row.(ko) with
           | None -> ()
           | Some fresh -> sink.s_update w.Warehouse.w_bases.(r) rid fresh)
         located

@@ -1,4 +1,5 @@
 module Bitset = Vis_util.Bitset
+module Int_hashtbl = Vis_util.Int_hashtbl
 module Schema = Vis_catalog.Schema
 module Derived = Vis_catalog.Derived
 module Element = Vis_costmodel.Element
@@ -82,8 +83,8 @@ let compute_view_in_memory schema ~tuples set =
                 (fun a -> List.map (fun b -> Array.append a b) new_rows)
                 rows
           | (lo, ro) :: residual ->
-              let hash = Hashtbl.create (2 * List.length new_rows) in
-              List.iter (fun b -> Hashtbl.add hash b.(ro) b) new_rows;
+              let hash = Int_hashtbl.create (2 * List.length new_rows) in
+              List.iter (fun b -> Int_hashtbl.add hash b.(ro) b) new_rows;
               List.concat_map
                 (fun a ->
                   List.filter_map
@@ -94,7 +95,7 @@ let compute_view_in_memory schema ~tuples set =
                           residual
                       then Some (Array.append a b)
                       else None)
-                    (Hashtbl.find_all hash a.(lo)))
+                    (Int_hashtbl.find_all hash a.(lo)))
                 rows
         in
         (Reldesc.concat desc rdesc, combined)

@@ -1,5 +1,6 @@
 module Heap_file = Vis_storage.Heap_file
 module Btree = Vis_storage.Btree
+module Int_hashtbl = Vis_util.Int_hashtbl
 
 type tuple = int array
 
@@ -45,19 +46,20 @@ let nested_block_join ~outer ~outer_offset ~block_tuples ~inner ~inner_offset
     | [] -> ()
     | _ ->
         let block, rest = take_block block_tuples [] remaining in
-        let hash = Hashtbl.create (2 * List.length block) in
+        let hash = Int_hashtbl.create (2 * List.length block) in
         List.iter
-          (fun tuple -> Hashtbl.add hash tuple.(outer_offset) tuple)
+          (fun tuple -> Int_hashtbl.add hash tuple.(outer_offset) tuple)
           block;
         (* Inner tuples without a partner in the block are never copied
            out of the arena. *)
         Heap_file.scan_where (Table.heap inner) ~attr:inner_offset
-          ~keep:(Hashtbl.mem hash) ~f:(fun _ inner_tuple ->
+          ~keys:(List.map (fun tuple -> tuple.(outer_offset)) block)
+          ~f:(fun _ inner_tuple ->
             List.iter
               (fun outer_tuple ->
                 let out = combine outer_tuple inner_tuple in
                 if keep filter out then results := out :: !results)
-              (Hashtbl.find_all hash inner_tuple.(inner_offset)));
+              (Int_hashtbl.find_all hash inner_tuple.(inner_offset)));
         blocks rest
   in
   blocks outer;
@@ -102,10 +104,8 @@ let index_join ~outer ~outer_offset ~inner ~inner_offset ?filter () =
       List.rev !results
 
 let locate_by_scan t ~offset ~keys =
-  let set = Hashtbl.create (2 * List.length keys) in
-  List.iter (fun k -> Hashtbl.replace set k ()) keys;
   let acc = ref [] in
-  Heap_file.scan_where (Table.heap t) ~attr:offset ~keep:(Hashtbl.mem set)
+  Heap_file.scan_where (Table.heap t) ~attr:offset ~keys
     ~f:(fun rid tuple -> acc := (rid, tuple) :: !acc);
   List.rev !acc
 

@@ -23,7 +23,12 @@ val index_scan :
     ~inner_offset ?filter ()] joins the in-memory [outer] with stored
     [inner] on equality of the two attributes.  The outer is consumed in
     blocks of [block_tuples] (the memory budget); the inner is scanned once
-    per block.  [filter] applies to combined tuples. *)
+    per block with {!Vis_storage.Heap_file.scan_where} on the block's outer
+    keys, so only inner tuples with a partner are copied out of the arena,
+    and each is matched through an int-keyed table of the block
+    ({!Vis_util.Int_hashtbl}).  Results come in inner-scan order, and for
+    each inner tuple its partners latest in the block first.  [filter]
+    applies to combined tuples. *)
 val nested_block_join :
   outer:tuple list ->
   outer_offset:int ->
@@ -59,7 +64,9 @@ val index_join :
   tuple list
 
 (** [locate_by_scan t ~offset ~keys] — the rids and tuples whose attribute at
-    [offset] takes one of [keys], found by a single scan. *)
+    [offset] takes one of [keys], in file order, found by a single
+    {!Vis_storage.Heap_file.scan_where} over [keys] (any ints; duplicates
+    are harmless). *)
 val locate_by_scan :
   Table.t -> offset:int -> keys:int list -> (Vis_storage.Heap_file.rid * tuple) list
 

@@ -40,20 +40,20 @@ type prot = {
   mutable seal : int;
 }
 
-(* Multiplicative hashing: gids are dense and sequential, so multiply by an
-   odd constant and keep middle bits to spread strided runs over a
-   power-of-two table. *)
+(* The gid-keyed side tables: no polymorphic hash or compare per lookup. *)
+module Int_hashtbl = Vis_util.Int_hashtbl
+
+(* The page table's home position uses the same multiplicative hash as
+   [Int_hashtbl] — gids are dense and sequential, so multiply by an odd
+   constant and keep middle bits to spread strided runs over a power-of-two
+   table — written out here so it inlines into every probe. *)
 let gid_hash g = (g * 0x1E3779B97F4A7C15) lsr 20
 
-(* The gid-keyed side tables, int-specialised: no polymorphic hash or
-   compare per lookup. *)
-module Gid_tbl = Hashtbl.Make (struct
-  type t = int
-
-  let equal (a : int) b = a = b
-
-  let hash = gid_hash
-end)
+(* A checksum bucket: its checksum page, and how many pages in the bucket
+   carry a stored seal.  The bucket is forgotten when the count drops to
+   zero, so a long-lived pool keeps no bucket page (and no pin) for gid
+   ranges whose protected pages are all gone. *)
+type bucket = { cs_gid : int; mutable sealed : int }
 
 (* Protected pages' stored checksums live on dedicated checksum pages, one
    per [cs_span]-gid bucket; read-path verification touches the bucket page
@@ -84,9 +84,9 @@ type t = {
   mutable pslot : int array;
   mutable next_page : int;
   mutable plan : Faults.t;
-  prots : prot Gid_tbl.t;
-  quarantine : unit Gid_tbl.t;
-  cs_pages : int Gid_tbl.t;  (* gid / cs_span -> checksum-page gid *)
+  prots : prot Int_hashtbl.t;
+  quarantine : unit Int_hashtbl.t;
+  cs_pages : bucket Int_hashtbl.t;  (* gid / cs_span -> its bucket *)
 }
 
 let rec pow2_above n k = if k >= n then k else pow2_above n (2 * k)
@@ -110,9 +110,9 @@ let create ~capacity ~stats =
     pslot = Array.make tsize nil;
     next_page = 0;
     plan = Faults.none ();
-    prots = Gid_tbl.create 64;
-    quarantine = Gid_tbl.create 8;
-    cs_pages = Gid_tbl.create 8;
+    prots = Int_hashtbl.create 64;
+    quarantine = Int_hashtbl.create 8;
+    cs_pages = Int_hashtbl.create 8;
   }
 
 (* --- Page table ------------------------------------------------------- *)
@@ -261,7 +261,7 @@ let victim t = victim_from t t.lru
    resealing never issues I/O of its own (and never re-enters the pool
    from inside an eviction). *)
 let reseal t page =
-  match Gid_tbl.find_opt t.prots page with
+  match Int_hashtbl.find_opt t.prots page with
   | Some ({ pr_checksum = Some cs; _ } as p) -> p.seal <- cs ()
   | _ -> ()
 
@@ -275,7 +275,7 @@ let wrote t page =
   match Faults.damage t.plan Faults.Write ~page with
   | None -> ()
   | Some (way, sel) ->
-      (match Gid_tbl.find_opt t.prots page with
+      (match Int_hashtbl.find_opt t.prots page with
       | Some p -> p.pr_corrupt way sel
       | None -> ());
       if way = Faults.Torn_write then
@@ -323,18 +323,19 @@ let insert_resident t page ~dirty:d ~count_read =
    [verify_seal]'s caller decides whether to raise. *)
 let rec verify_seal t page p cs =
   Iostats.record_checksum_verification t.io;
-  (match Gid_tbl.find_opt t.cs_pages (page / cs_span) with
-  | Some g ->
+  (match Int_hashtbl.find_opt t.cs_pages (page / cs_span) with
+  | Some { cs_gid = g; _ } ->
       (* Checksum pages are hot, tiny metadata: pin the bucket page on its
          first admission so capacity pressure cannot thrash it — one read
          per residency burst, hits thereafter.  (A flush still drops it;
-         the next verification re-reads and re-pins.) *)
+         the next verification re-reads and re-pins.  Forgetting the
+         bucket clears the pin.) *)
       if find t g <> nil then touch t g ~dirty:false else pin t g
   | None -> ());
   let ok = p.seal = cs () in
   if not ok then begin
     Iostats.record_checksum_failure t.io;
-    Gid_tbl.replace t.quarantine page ()
+    Int_hashtbl.replace t.quarantine page ()
   end;
   ok
 
@@ -342,8 +343,8 @@ let rec verify_seal t page p cs =
    not re-raise, so rebuild passes can run without tripping over the page
    they are replacing. *)
 and verify_on_read t page =
-  if not (Gid_tbl.mem t.quarantine page) then
-    match Gid_tbl.find_opt t.prots page with
+  if not (Int_hashtbl.mem t.quarantine page) then
+    match Int_hashtbl.find_opt t.prots page with
     | Some ({ pr_checksum = Some cs; _ } as p) ->
         if not (verify_seal t page p cs) then raise (Corruption page)
     | _ -> ()
@@ -433,59 +434,85 @@ let residency t =
 
 (* --- Corruption protection ------------------------------------------- *)
 
+(* A page gains or loses its stored seal: keep its bucket's count.  The
+   first seal in a bucket allocates the bucket's checksum page — not via
+   [fresh_page]: checksum pages are pool metadata, and [protect] runs
+   inside callers' no-pool-calls mutation phases (a B+-tree split registers
+   its new sibling mid-mutation), so it must not hit a fault point.  The
+   last seal leaving forgets the bucket and clears the pin verification
+   put on its page; the page itself stays an ordinary clean frame until
+   LRU pressure evicts it. *)
+let seal_added t page =
+  let b = page / cs_span in
+  match Int_hashtbl.find_opt t.cs_pages b with
+  | Some bk -> bk.sealed <- bk.sealed + 1
+  | None ->
+      let gid = t.next_page in
+      t.next_page <- t.next_page + 1;
+      Int_hashtbl.add t.cs_pages b { cs_gid = gid; sealed = 1 }
+
+let seal_removed t page =
+  let b = page / cs_span in
+  match Int_hashtbl.find_opt t.cs_pages b with
+  | Some bk when bk.sealed > 1 -> bk.sealed <- bk.sealed - 1
+  | Some bk ->
+      Int_hashtbl.remove t.cs_pages b;
+      let f = find t bk.cs_gid in
+      if f <> nil then t.fpins.(f) <- 0
+  | None -> ()
+
+let sealed_prot t page =
+  match Int_hashtbl.find_opt t.prots page with
+  | Some { pr_checksum = Some _; _ } -> true
+  | _ -> false
+
 let protect t page { hk_checksum; hk_corrupt } =
-  Gid_tbl.remove t.quarantine page;
+  Int_hashtbl.remove t.quarantine page;
+  let was_sealed = sealed_prot t page in
   let seal =
     match hk_checksum with
-    | None -> 0
+    | None ->
+        if was_sealed then seal_removed t page;
+        0
     | Some cs ->
-        (* Lazily allocate the bucket's checksum page.  Not via
-           [fresh_page]: checksum pages are pool metadata, and [protect]
-           runs inside callers' no-pool-calls mutation phases (a B+-tree
-           split registers its new sibling mid-mutation), so it must not
-           hit a fault point. *)
-        let bucket = page / cs_span in
-        if not (Gid_tbl.mem t.cs_pages bucket) then begin
-          let gid = t.next_page in
-          t.next_page <- t.next_page + 1;
-          Gid_tbl.add t.cs_pages bucket gid
-        end;
+        if not was_sealed then seal_added t page;
         cs ()
   in
-  Gid_tbl.replace t.prots page
+  Int_hashtbl.replace t.prots page
     { pr_checksum = hk_checksum; pr_corrupt = hk_corrupt; seal }
 
 let unprotect t page =
-  Gid_tbl.remove t.prots page;
-  Gid_tbl.remove t.quarantine page
+  if sealed_prot t page then seal_removed t page;
+  Int_hashtbl.remove t.prots page;
+  Int_hashtbl.remove t.quarantine page
 
-let protected t page = Gid_tbl.mem t.prots page
+let protected t page = Int_hashtbl.mem t.prots page
 
 (* Non-raising verification probe for the scrub pass.  Unverifiable pages
    (unprotected, or registered without a checksum hook) report clean. *)
 let verify t page =
-  if Gid_tbl.mem t.quarantine page then false
+  if Int_hashtbl.mem t.quarantine page then false
   else
-    match Gid_tbl.find_opt t.prots page with
+    match Int_hashtbl.find_opt t.prots page with
     | Some ({ pr_checksum = Some cs; _ } as p) -> verify_seal t page p cs
     | _ -> true
 
-let quarantined t page = Gid_tbl.mem t.quarantine page
+let quarantined t page = Int_hashtbl.mem t.quarantine page
 
-let quarantine t page = Gid_tbl.replace t.quarantine page ()
+let quarantine t page = Int_hashtbl.replace t.quarantine page ()
 
 (* At-rest damage injection for oracles and benches: mutate the payload
    directly, bypassing the device write path, so the stored seal (computed
    at the last write-out) convicts the page.  No-op on pages that own no
    payload. *)
 let corrupt_page t page way sel =
-  match Gid_tbl.find_opt t.prots page with
+  match Int_hashtbl.find_opt t.prots page with
   | Some p -> p.pr_corrupt way sel
   | None -> ()
 
 (* Sorted, so damage plans indexing into it replay identically. *)
 let protected_gids t =
-  Gid_tbl.fold
+  Int_hashtbl.fold
     (fun g p acc -> if p.pr_checksum <> None then g :: acc else acc)
     t.prots []
   |> List.sort compare

@@ -37,7 +37,11 @@
     touches, so detection has a real, machine-independent I/O cost; being
     hot, tiny metadata, a bucket page is pinned from its first admission,
     so the cost is one read per residency burst rather than one per
-    capacity-pressure round trip. *)
+    capacity-pressure round trip.  A bucket lives as long as it holds a
+    sealed page: when {!unprotect}, or a re-{!protect} without a checksum,
+    removes its last one, the bucket is forgotten and its page's pin is
+    cleared, so pinned bucket pages never accumulate in a long-lived
+    pool.  Every gid-keyed side table is a {!Vis_util.Int_hashtbl}. *)
 
 type t
 
@@ -121,12 +125,15 @@ val residency : t -> (int * bool * int) list
 
 (** [protect t page hooks] registers [page] for corruption detection and,
     when [hooks.hk_checksum] is present, seals its current payload
-    checksum (allocating the bucket's checksum page on first use).
-    Re-protecting replaces the hooks and clears any quarantine. *)
+    checksum (allocating the bucket's checksum page when the bucket holds
+    no other sealed page).  Re-protecting replaces the hooks and clears
+    any quarantine; re-protecting without a checksum drops the page's
+    seal like {!unprotect}. *)
 val protect : t -> int -> page_hooks -> unit
 
 (** Drops hooks, stored checksum and quarantine state for [page] (for
-    deallocated or rebuilt-away pages). *)
+    deallocated or rebuilt-away pages).  Dropping a bucket's last seal
+    forgets the bucket and unpins its checksum page. *)
 val unprotect : t -> int -> unit
 
 val protected : t -> int -> bool

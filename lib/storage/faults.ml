@@ -3,6 +3,8 @@
    behavior is a pure function of (schedules, seed, operation sequence), so
    any fault trace can be reproduced from the integers that built it. *)
 
+module Int_hashtbl = Vis_util.Int_hashtbl
+
 type op = Read | Write | Alloc
 
 type kind = Transient | Crash | Permanent
@@ -237,12 +239,12 @@ let random_damage ?(n = 2) ~rng ~targets () =
   if targets <= 0 then []
   else begin
     let n = min n targets in
-    let picked = Hashtbl.create 8 in
+    let picked = Int_hashtbl.create 8 in
     let rec fresh_pick () =
       let p = Random.State.int rng targets in
-      if Hashtbl.mem picked p then fresh_pick ()
+      if Int_hashtbl.mem picked p then fresh_pick ()
       else begin
-        Hashtbl.replace picked p ();
+        Int_hashtbl.replace picked p ();
         p
       end
     in

@@ -206,13 +206,44 @@ let truncate_last t rid =
   end
   else invalid_arg "Heap_file.truncate_last: rid is not the tail"
 
+(* The key filter of [scan_where]: open addressing over a power-of-two
+   table at most a quarter full, linear probing from the multiplicative
+   hash (the one [Vis_util.Int_hashtbl] uses).  [fkey] holds the keys and
+   [fused] marks the occupied cells — a mark apart from the key, so any int
+   can be a key: there is no sentinel value.  Only this module knows the
+   layout: [scan_live] probes it inline, since under [-opaque] a call into
+   another module per slot costs about twice the probe. *)
+type filter = { fkey : int array; fused : Bytes.t; fmask : int }
+
+let filter_hash k = (k * 0x1E3779B97F4A7C15) lsr 20
+
+let rec pow2_above n k = if k >= n then k else pow2_above n (2 * k)
+
+let make_filter keys =
+  let size = pow2_above (4 * List.length keys) 8 in
+  let f = { fkey = Array.make size 0; fused = Bytes.make size '\000'; fmask = size - 1 } in
+  List.iter
+    (fun k ->
+      let i = ref (filter_hash k land f.fmask) in
+      while Bytes.get f.fused !i <> '\000' && f.fkey.(!i) <> k do
+        i := (!i + 1) land f.fmask
+      done;
+      f.fkey.(!i) <- k;
+      Bytes.set f.fused !i '\001')
+    keys;
+  f
+
+let no_keys = make_filter []
+
 (* Both scans run this loop.  It indexes the arena's backing array in place
    (see [Arena]): one window check per page, then inlined reads of each
-   slot's presence word and, when [attr >= 0], its key word.  Only the
-   tuples handed to [f] are copied out.  The array is re-fetched after every
-   callback, in case [f] grew the arena. *)
-let scan_live t ~attr ~keep ~f =
+   slot's presence word and, when [attr >= 0], its key word, which is
+   probed in [keys] right here.  Only the tuples handed to [f] are copied
+   out.  The array is re-fetched after every callback, in case [f] grew the
+   arena. *)
+let scan_live t ~attr ~keys ~f =
   let sw = slot_words t in
+  let { fkey; fused; fmask } = keys in
   for p = 0 to t.n_pages - 1 do
     let page = t.pages.(p) in
     Buffer_pool.touch t.pool page.gid ~dirty:false;
@@ -223,7 +254,16 @@ let scan_live t ~attr ~keep ~f =
       let off = page.off + (s * sw) in
       if
         Bigarray.Array1.unsafe_get !w off <> 0
-        && (attr < 0 || keep (Bigarray.Array1.unsafe_get !w (off + 1 + attr)))
+        && (attr < 0
+           ||
+           let k = Bigarray.Array1.unsafe_get !w (off + 1 + attr) in
+           let i = ref (filter_hash k land fmask) in
+           while
+             Bytes.unsafe_get fused !i <> '\000' && Array.unsafe_get fkey !i <> k
+           do
+             i := (!i + 1) land fmask
+           done;
+           Bytes.unsafe_get fused !i <> '\000')
       then begin
         f { rid_page = p; rid_slot = s }
           (Arena.to_array t.arena ~off:(off + 1) ~len:t.arity);
@@ -232,12 +272,12 @@ let scan_live t ~attr ~keep ~f =
     done
   done
 
-let scan t ~f = scan_live t ~attr:(-1) ~keep:(fun _ -> true) ~f
+let scan t ~f = scan_live t ~attr:(-1) ~keys:no_keys ~f
 
-let scan_where t ~attr ~keep ~f =
+let scan_where t ~attr ~keys ~f =
   if attr < 0 || (t.arity >= 0 && attr >= t.arity) then
     invalid_arg "Heap_file.scan_where";
-  scan_live t ~attr ~keep ~f
+  scan_live t ~attr ~keys:(make_filter keys) ~f
 
 let n_tuples t = t.n_tuples
 

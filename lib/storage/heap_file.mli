@@ -58,16 +58,20 @@ val truncate_last : t -> rid -> bool
     (including pages that became empty).  Tuples are materialized fresh. *)
 val scan : t -> f:(rid -> int array -> unit) -> unit
 
-(** [scan_where t ~attr ~keep ~f] is [scan] restricted to the live tuples
-    whose attribute [attr] satisfies [keep]: it reads each slot's key word
-    in place and materializes only the tuples it hands to [f].  It touches
-    the same pages in the same order as {!scan}, so its buffer-pool and I/O
-    accounting is identical.  [keep] must not modify the file.  Raises
-    [Invalid_argument "Heap_file.scan_where"] when [attr] is outside
-    [[0, arity)] (only a negative [attr] while the arity is unfixed, since
-    such a file is empty). *)
+(** [scan_where t ~attr ~keys ~f] is [scan] restricted to the live tuples
+    whose attribute [attr] is one of [keys]: it reads each slot's key word
+    in place, tests it against a private open-addressing table built from
+    [keys] (probed inline in the scan loop, with no polymorphic hashing),
+    and materializes only the tuples it hands to [f].  Any int is a valid
+    key — negative keys, [min_int] and [max_int] included — and duplicate
+    keys are harmless; an empty list matches nothing.  It touches the same
+    pages in the same order as {!scan}, so its buffer-pool and I/O
+    accounting is identical.  Raises [Invalid_argument
+    "Heap_file.scan_where"] when [attr] is outside [[0, arity)] (only a
+    negative [attr] while the arity is unfixed, since such a file is
+    empty). *)
 val scan_where :
-  t -> attr:int -> keep:(int -> bool) -> f:(rid -> int array -> unit) -> unit
+  t -> attr:int -> keys:int list -> f:(rid -> int array -> unit) -> unit
 
 (** Number of live tuples. *)
 val n_tuples : t -> int

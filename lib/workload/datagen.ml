@@ -1,4 +1,5 @@
 module Schema = Vis_catalog.Schema
+module Int_hashtbl = Vis_util.Int_hashtbl
 
 exception Unsupported of string
 
@@ -132,15 +133,15 @@ let protected_attrs schema rel =
 
 (* Draw [count] distinct values from [0, bound) excluding [avoid]. *)
 let sample_distinct ~rng ~count ~bound avoid =
-  let taken = Hashtbl.create (2 * count) in
-  List.iter (fun k -> Hashtbl.replace taken k ()) avoid;
+  let taken = Int_hashtbl.create (2 * count) in
+  List.iter (fun k -> Int_hashtbl.replace taken k ()) avoid;
   let rec draw acc remaining guard =
     if remaining = 0 || guard > 100 * count then acc
     else
       let k = Random.State.int rng bound in
-      if Hashtbl.mem taken k then draw acc remaining (guard + 1)
+      if Int_hashtbl.mem taken k then draw acc remaining (guard + 1)
       else begin
-        Hashtbl.replace taken k ();
+        Int_hashtbl.replace taken k ();
         draw (k :: acc) (remaining - 1) guard
       end
   in
@@ -198,19 +199,19 @@ let apply schema dataset batch =
   let ds_tuples =
     Array.init n (fun rel ->
         let kp = key_pos schema rel in
-        let dels = Hashtbl.create 16 in
-        List.iter (fun k -> Hashtbl.replace dels k ()) batch.b_del.(rel);
-        let upds = Hashtbl.create 16 in
+        let dels = Int_hashtbl.create 16 in
+        List.iter (fun k -> Int_hashtbl.replace dels k ()) batch.b_del.(rel);
+        let upds = Int_hashtbl.create 16 in
         List.iter
-          (fun (k, tuple) -> Hashtbl.replace upds k tuple)
+          (fun (k, tuple) -> Int_hashtbl.replace upds k tuple)
           batch.b_upd.(rel);
         let kept =
           List.filter_map
             (fun tuple ->
               let k = tuple.(kp) in
-              if Hashtbl.mem dels k then None
+              if Int_hashtbl.mem dels k then None
               else
-                match Hashtbl.find_opt upds k with
+                match Int_hashtbl.find_opt upds k with
                 | Some replacement -> Some replacement
                 | None -> Some tuple)
             dataset.ds_tuples.(rel)

@@ -189,6 +189,117 @@ let test_nbj_io_blocks () =
   let five_blocks = Iostats.reads stats in
   checkb "more blocks, more reads" true (five_blocks > one_block)
 
+(* The key-filtered operators as they were written with polymorphic
+   [Hashtbl]s — a set for locate, a multimap for the join's build side —
+   and with the key test as a predicate on every scanned tuple.  The
+   int-keyed operators must return the same lists, in the same order, and
+   touch the same pages. *)
+module Poly_exec = struct
+  module Heap_file = Vis_storage.Heap_file
+
+  let keep filter tuple = match filter with None -> true | Some p -> p tuple
+
+  let scan_where heap ~attr ~keep ~f =
+    Heap_file.scan heap ~f:(fun rid tuple -> if keep tuple.(attr) then f rid tuple)
+
+  let rec take_block n acc = function
+    | [] -> (List.rev acc, [])
+    | x :: rest when n > 0 -> take_block (n - 1) (x :: acc) rest
+    | rest -> (List.rev acc, rest)
+
+  let nested_block_join ~outer ~outer_offset ~block_tuples ~inner ~inner_offset
+      ?filter () =
+    let results = ref [] in
+    let rec blocks remaining =
+      match remaining with
+      | [] -> ()
+      | _ ->
+          let block, rest = take_block block_tuples [] remaining in
+          let hash = Hashtbl.create (2 * List.length block) in
+          List.iter
+            (fun tuple -> Hashtbl.add hash tuple.(outer_offset) tuple)
+            block;
+          scan_where (Table.heap inner) ~attr:inner_offset
+            ~keep:(Hashtbl.mem hash) ~f:(fun _ inner_tuple ->
+              List.iter
+                (fun outer_tuple ->
+                  let out = Array.append outer_tuple inner_tuple in
+                  if keep filter out then results := out :: !results)
+                (Hashtbl.find_all hash inner_tuple.(inner_offset)));
+          blocks rest
+    in
+    blocks outer;
+    List.rev !results
+
+  let locate_by_scan t ~offset ~keys =
+    let set = Hashtbl.create (2 * List.length keys) in
+    List.iter (fun k -> Hashtbl.replace set k ()) keys;
+    let acc = ref [] in
+    scan_where (Table.heap t) ~attr:offset ~keep:(Hashtbl.mem set)
+      ~f:(fun rid tuple -> acc := (rid, tuple) :: !acc);
+    List.rev !acc
+end
+
+let io_counters s =
+  Iostats.[ reads s; writes s; accesses s; pool_hits s; pool_misses s; pool_evictions s ]
+
+let test_exec_matches_polymorphic () =
+  let draw_key rng =
+    match Random.State.int rng 20 with
+    | 0 -> min_int
+    | 1 -> max_int
+    | _ -> Random.State.int rng 13 - 6
+  in
+  let joined = ref 0 and located = ref 0 in
+  for seed = 1 to 80 do
+    let rng = Random.State.make [| seed |] in
+    let rows = List.init (Random.State.int rng 60) (fun i -> [| i; draw_key rng; -i |]) in
+    let dead = List.filter (fun _ -> Random.State.int rng 4 = 0) rows in
+    let capacity = 2 + Random.State.int rng 6 in
+    (* Twin tables, so each operator starts from an identical pool. *)
+    let twin () =
+      let pool, stats = fresh_pool ~capacity () in
+      let t =
+        Table.create pool ~desc:(Reldesc.of_relation schema 2) ~page_bytes:128
+          ~attr_bytes:8
+      in
+      let rids = List.map (fun r -> Table.insert t r) rows in
+      List.iter2
+        (fun r rid -> if List.memq r dead then ignore (Table.delete t rid))
+        rows rids;
+      Buffer_pool.flush pool;
+      Iostats.reset stats;
+      (t, stats)
+    in
+    (* Outer keys repeat: each block's build side has duplicate keys. *)
+    let outer = List.init (Random.State.int rng 40) (fun j -> [| j; draw_key rng |]) in
+    let block_tuples = 1 + Random.State.int rng 12 in
+    let filter =
+      if Random.State.bool rng then None else Some (fun r -> (r.(0) + r.(2)) mod 3 <> 0)
+    in
+    let keys = List.init (Random.State.int rng 10) (fun _ -> draw_key rng) in
+    let where what = Printf.sprintf "seed %d: %s" seed what in
+    let same what count run_new run_ref =
+      let t, st = twin () and t', st' = twin () in
+      let got = run_new t and want = run_ref t' in
+      checkb (where what) true (got = want);
+      Alcotest.(check (list int)) (where (what ^ " I/O")) (io_counters st') (io_counters st);
+      count := !count + List.length got
+    in
+    same "nested-block join" joined
+      (fun t ->
+        Exec.nested_block_join ~outer ~outer_offset:1 ~block_tuples ~inner:t
+          ~inner_offset:1 ?filter ())
+      (fun t ->
+        Poly_exec.nested_block_join ~outer ~outer_offset:1 ~block_tuples ~inner:t
+          ~inner_offset:1 ?filter ());
+    same "locate by scan" located
+      (fun t -> Exec.locate_by_scan t ~offset:1 ~keys)
+      (fun t -> Poly_exec.locate_by_scan t ~offset:1 ~keys)
+  done;
+  checkb "joins produced rows" true (!joined > 500);
+  checkb "locates found rows" true (!located > 100)
+
 (* Property: NBJ and index join agree on random data. *)
 let prop_joins_agree =
   QCheck2.Test.make ~name:"exec: nested-block and index join agree" ~count:50
@@ -233,6 +344,8 @@ let () =
           Alcotest.test_case "cross join" `Quick test_cross_join;
           Alcotest.test_case "locate" `Quick test_locate;
           Alcotest.test_case "nbj block I/O" `Quick test_nbj_io_blocks;
+          Alcotest.test_case "same lists as polymorphic tables" `Quick
+            test_exec_matches_polymorphic;
         ]
         @ qt [ prop_joins_agree ] );
     ]

@@ -518,9 +518,9 @@ let test_pool_bounded_memory () =
 (* Re-protecting a quarantined page lifts the fence and seals the payload
    as it is now.  Protection state is one record per page, dropped by
    [unprotect], so a long stream of protected pages through a small pool
-   leaves no per-page state behind.  (Each 512-gid bucket's checksum page
-   stays pinned once verified, so the pool does grow by one frame per
-   bucket; 10k pages touch 20 of them.) *)
+   leaves no per-page state behind, and no frame past capacity: a
+   bucket's checksum page is pinned only while the bucket holds a sealed
+   page. *)
 let test_pool_protect_lifecycle () =
   let pool, stats = fresh_pool ~capacity:8 () in
   let slots = 32 and words = 4 in
@@ -562,8 +562,51 @@ let test_pool_protect_lifecycle () =
   checkb "pages were verified" true
     (Iostats.checksum_verifications stats > 19_000);
   checki "no page failed" 1 (Iostats.checksum_failures stats);
+  checkb "frames within capacity" true
+    (List.length (Buffer_pool.residency pool) <= Buffer_pool.capacity pool);
   let w = Obj.reachable_words (Obj.repr pool) in
   if w > 4096 then Alcotest.failf "pool holds %d words after 10k protected pages" w
+
+(* A bucket's checksum page is pinned by its first verification; once the
+   bucket's last sealed page is unprotected the bucket is forgotten and the
+   pin cleared.  Without that, every bucket ever verified kept a pinned
+   frame: 11k rounds on a capacity-8 pool left 23 frames, 22 pinned, and
+   once the pins filled the pool every admission evicted its one unpinned
+   frame. *)
+let test_pool_bucket_release () =
+  let pool, stats = fresh_pool ~capacity:8 () in
+  let a = Arena.create () in
+  ignore (Arena.alloc a 4);
+  let hooks =
+    {
+      Buffer_pool.hk_checksum = Some (fun () -> Checksum.arena a ~off:0 ~len:4);
+      hk_corrupt = (fun _ sel -> Arena.set a (sel mod 4) sel);
+    }
+  in
+  let frames () = Buffer_pool.residency pool in
+  for i = 1 to 11_000 do
+    let g = Buffer_pool.fresh_page pool in
+    Buffer_pool.touch_new pool g;
+    Buffer_pool.protect pool g hooks;
+    if not (Buffer_pool.verify pool g) then Alcotest.failf "page %d failed" g;
+    (* Re-protecting without a checksum drops the seal too. *)
+    if i mod 2 = 0 then Buffer_pool.protect pool g { hooks with hk_checksum = None };
+    Buffer_pool.unprotect pool g;
+    if List.length (frames ()) > Buffer_pool.capacity pool then
+      Alcotest.failf "round %d: %d frames" i (List.length (frames ()))
+  done;
+  checki "every round verified" 11_000 (Iostats.checksum_verifications stats);
+  checki "no pinned frame left" 0
+    (List.length (List.filter (fun (_, _, pins) -> pins > 0) (frames ())));
+  let w = Obj.reachable_words (Obj.repr pool) in
+  if w > 2048 then Alcotest.failf "pool holds %d words after 11k buckets" w;
+  (* A bucket re-created after being forgotten still convicts damage. *)
+  let g = Buffer_pool.fresh_page pool in
+  Buffer_pool.touch_new pool g;
+  Buffer_pool.protect pool g hooks;
+  Buffer_pool.corrupt_page pool g Faults.Bit_flip 5;
+  checkb "damage convicted" false (Buffer_pool.verify pool g);
+  checki "one failure" 1 (Iostats.checksum_failures stats)
 
 (* ------------------------------------------------------------------ *)
 (* Fault plans. *)
@@ -812,6 +855,35 @@ let test_heap_append_across_page_boundary () =
     (Invalid_argument "Heap_file: arity mismatch") (fun () ->
       ignore (Heap_file.append h [| 1; 2 |]))
 
+(* Keys whose multiplicative hash ([Vis_util.Int_hashtbl.hash], which the
+   heap's key filter also uses) has its 16 low bits set: in any filter
+   table of up to 2^16 cells they all start probing at the last cell, so
+   inserting them builds one probe run that wraps around the table's end,
+   and a non-member with the same home walks the whole run. *)
+let same_home_keys n =
+  let rec go k acc n =
+    if n = 0 then List.rev acc
+    else if Vis_util.Int_hashtbl.hash k land 0xFFFF = 0xFFFF then go (k + 1) (k :: acc) (n - 1)
+    else go (k + 1) acc n
+  in
+  go (-1_000_000) [] n
+
+(* Twelve keys in the wrapping run, then two non-members that share its
+   home. *)
+let wrap_keys, wrap_misses =
+  let run = same_home_keys 14 in
+  (List.filteri (fun i _ -> i < 12) run, List.filteri (fun i _ -> i >= 12) run)
+
+(* The key lists each case is scanned with. *)
+let key_lists =
+  [
+    ("keys 1 and 3", [ 1; 3 ]);
+    ("no keys", []);
+    ("duplicate keys", [ 3; 1; 3; 3; 1; 1 ]);
+    ("extreme keys", [ 0; -1; -4; min_int; max_int ]);
+    ("wrapping probe run", wrap_keys);
+  ]
+
 (* [scan_where] is [scan] filtered on one attribute: the same (rid, tuple)
    sequence, the same pages touched in the same order, so the same
    [Iostats] counters and pool state — also when a fault cuts the scan
@@ -827,6 +899,11 @@ let scan_where_cases =
     (pool, stats, h)
   in
   let append_n h n = List.init n (fun i -> Heap_file.append h [| i mod 5; i; 3 * i |]) in
+  (* Every listed key and some near misses, each stored twice. *)
+  let extremes =
+    [ 0; -1; -4; min_int; max_int; 1; 3; 7; min_int + 1; max_int - 1; -2 ]
+    @ wrap_keys @ wrap_misses
+  in
   [
     ( "deleted slots",
       heap (fun h ->
@@ -846,12 +923,17 @@ let scan_where_cases =
           List.iteri
             (fun i r -> if i mod 4 = 0 then ignore (Heap_file.delete h r))
             (append_n h 30)) );
+    ( "extreme values",
+      heap (fun h ->
+          List.iteri
+            (fun i k ->
+              let r = Heap_file.append h [| k; i; -k |] in
+              if i mod 7 = 3 then ignore (Heap_file.delete h r))
+            (extremes @ List.rev extremes)) );
   ]
 
-let keep_key k = k = 1 || k = 3
-
 (* Run both scans on twin heaps; [arm] installs a fault before scanning. *)
-let scan_twins ?(arm = fun _ _ -> ()) build =
+let scan_twins ?(arm = fun _ _ -> ()) ~keys build =
   let run scan =
     let pool, stats, h = build () in
     arm pool h;
@@ -864,26 +946,44 @@ let scan_twins ?(arm = fun _ _ -> ()) build =
     (List.rev !seen, outcome, counters stats, Buffer_pool.residency pool)
   in
   let full =
-    run (fun h f -> Heap_file.scan h ~f:(fun rid t -> if keep_key t.(0) then f rid t))
+    run (fun h f -> Heap_file.scan h ~f:(fun rid t -> if List.mem t.(0) keys then f rid t))
   in
-  let where = run (fun h f -> Heap_file.scan_where h ~attr:0 ~keep:keep_key ~f) in
+  let where = run (fun h f -> Heap_file.scan_where h ~attr:0 ~keys ~f) in
   (full, where)
 
 let test_heap_scan_where () =
   List.iter
-    (fun (name, build) ->
-      let (seq, out, io, res), (seq', out', io', res') = scan_twins build in
-      checkb (name ^ ": same tuples") true (seq = seq');
-      checkb (name ^ ": no fault") true (out = None && out' = None);
-      Alcotest.(check (list int)) (name ^ ": same counters") io io';
-      checkb (name ^ ": same residency") true (res = res'))
+    (fun (case, build) ->
+      List.iter
+        (fun (kname, keys) ->
+          let name = case ^ ", " ^ kname in
+          let (seq, out, io, res), (seq', out', io', res') = scan_twins ~keys build in
+          checkb (name ^ ": same tuples") true (seq = seq');
+          checkb (name ^ ": no fault") true (out = None && out' = None);
+          Alcotest.(check (list int)) (name ^ ": same counters") io io';
+          checkb (name ^ ": same residency") true (res = res');
+          (* The extreme-value heap stores every listed key. *)
+          if case = "extreme values" && keys <> [] then
+            checkb (name ^ ": keys found") true (seq' <> []))
+        key_lists)
     scan_where_cases;
   let _, build = List.hd scan_where_cases in
   let _, _, h = build () in
   checkb "filter visits a strict subset" true
     (let n = ref 0 in
-     Heap_file.scan_where h ~attr:0 ~keep:keep_key ~f:(fun _ _ -> incr n);
-     !n > 0 && !n < Heap_file.n_tuples h)
+     Heap_file.scan_where h ~attr:0 ~keys:[ 1; 3 ] ~f:(fun _ _ -> incr n);
+     !n > 0 && !n < Heap_file.n_tuples h);
+  (* Every key of the wrapping run is found, and its same-home misses are
+     not. *)
+  let _, build = List.nth scan_where_cases 5 in
+  let _, _, h = build () in
+  let keys = min_int :: max_int :: wrap_keys in
+  let found = ref [] in
+  Heap_file.scan_where h ~attr:0 ~keys ~f:(fun _ t -> found := t.(0) :: !found);
+  checkb "extremes and the whole wrapping run found" true
+    (List.for_all (fun k -> List.mem k !found) keys);
+  checkb "same-home misses skipped" false
+    (List.exists (fun k -> List.mem k !found) wrap_misses)
 
 let test_heap_scan_where_faults () =
   let _, build = List.nth scan_where_cases 4 in
@@ -898,13 +998,21 @@ let test_heap_scan_where_faults () =
     Buffer_pool.corrupt_page pool (Heap_file.page_gid h 3) Faults.Bit_flip 17
   in
   List.iter
-    (fun (name, arm) ->
-      let (seq, out, io, res), (seq', out', io', res') = scan_twins ~arm build in
-      checkb (name ^ ": scan stopped") true (out <> None);
-      checkb (name ^ ": same exception") true (out = out');
-      checkb (name ^ ": same prefix") true (seq = seq' && seq <> []);
-      Alcotest.(check (list int)) (name ^ ": same counters") io io';
-      checkb (name ^ ": same residency") true (res = res'))
+    (fun (fname, arm) ->
+      List.iter
+        (fun (kname, keys) ->
+          let name = fname ^ ", " ^ kname in
+          let (seq, out, io, res), (seq', out', io', res') =
+            scan_twins ~arm ~keys build
+          in
+          (* The heap's first pages hold keys 0..4. *)
+          let matches = List.exists (fun k -> k >= 0 && k < 5) keys in
+          checkb (name ^ ": scan stopped") true (out <> None);
+          checkb (name ^ ": same exception") true (out = out');
+          checkb (name ^ ": same prefix") true (seq = seq' && (seq <> [] || not matches));
+          Alcotest.(check (list int)) (name ^ ": same counters") io io';
+          checkb (name ^ ": same residency") true (res = res'))
+        key_lists)
     [ ("read fault", read_fault); ("corrupt page", rot) ]
 
 let test_window_errors () =
@@ -912,7 +1020,7 @@ let test_window_errors () =
   let h = Heap_file.create pool ~tuples_per_page:4 in
   ignore (Heap_file.append h [| 1; 2 |]);
   let scan_where attr () =
-    Heap_file.scan_where h ~attr ~keep:(fun _ -> true) ~f:(fun _ _ -> ())
+    Heap_file.scan_where h ~attr ~keys:[ 1 ] ~f:(fun _ _ -> ())
   in
   let bad = Invalid_argument "Heap_file.scan_where" in
   Alcotest.check_raises "attr = arity" bad (scan_where 2);
@@ -920,7 +1028,7 @@ let test_window_errors () =
   Alcotest.check_raises "negative attr, arity unfixed" bad (fun () ->
       Heap_file.scan_where
         (Heap_file.create pool ~tuples_per_page:4)
-        ~attr:(-1) ~keep:(fun _ -> true) ~f:(fun _ _ -> ()));
+        ~attr:(-1) ~keys:[ 1 ] ~f:(fun _ _ -> ()));
   let a = Arena.create ~initial_words:4 () in
   let off = Arena.alloc a 6 in
   Arena.set a (off + 5) 42;
@@ -1182,6 +1290,8 @@ let () =
             test_pool_bounded_memory;
           Alcotest.test_case "protect, verify, unprotect" `Quick
             test_pool_protect_lifecycle;
+          Alcotest.test_case "checksum buckets are released" `Quick
+            test_pool_bucket_release;
         ]
         @ qt [ prop_pool_no_capacity_misses ] );
       ( "faults",
