@@ -103,14 +103,16 @@ let jobs_arg =
 
 let faults_arg =
   let doc = "Random fault plans the crash-recovery oracle injects per \
-             schema." in
-  Arg.(value & opt int 1 & info [ "faults" ] ~docv:"N" ~doc)
+             schema (default 1).  With $(b,--replay), overrides the value \
+             the repro recorded." in
+  Arg.(value & opt (some int) None & info [ "faults" ] ~docv:"N" ~doc)
 
 let fault_seed_arg =
   let doc = "Extra seed folded into the crash-recovery oracle's fault \
              plans; vary it to explore different fault schedules over the \
-             same schema stream." in
-  Arg.(value & opt int 0 & info [ "fault-seed" ] ~docv:"N" ~doc)
+             same schema stream (default 0).  With $(b,--replay), overrides \
+             the value the repro recorded." in
+  Arg.(value & opt (some int) None & info [ "fault-seed" ] ~docv:"N" ~doc)
 
 let no_shrink_arg =
   let doc = "Report failing schemas as generated, without minimization." in
@@ -146,7 +148,9 @@ let select_oracles = function
       | Ok oracles -> oracles
       | Error msg -> die "%s" msg)
 
-let replay config path json =
+(* A repro replays with the fault knobs it recorded, unless the command
+   line sets them. *)
+let replay config ~faults ~fault_seed path json =
   let repro = try Repro.load path with
     | Repro.Malformed msg -> die "%s: %s" path msg
     | Json.Parse_error msg -> die "%s: %s" path msg
@@ -157,6 +161,8 @@ let replay config path json =
     {
       config with
       Runner.cf_seed = repro.Repro.r_seed;
+      cf_fault_rounds = Option.value faults ~default:repro.Repro.r_fault_rounds;
+      cf_fault_seed = Option.value fault_seed ~default:repro.Repro.r_fault_seed;
       cf_oracles =
         (match Oracles.resolve repro.Repro.r_oracle with
         | Ok o -> [ o ]
@@ -176,6 +182,8 @@ let replay config path json =
         ("replay", Json.String path);
         ("seed", Json.Int repro.Repro.r_seed);
         ("trial", Json.Int repro.Repro.r_trial);
+        ("fault_rounds", Json.Int config.Runner.cf_fault_rounds);
+        ("fault_seed", Json.Int config.Runner.cf_fault_seed);
         ("recorded_failure", Json.String repro.Repro.r_failure);
         ( "outcomes",
           Json.List
@@ -196,8 +204,9 @@ let replay config path json =
   in
   if json then print_endline (Json.to_string ~indent:2 doc)
   else begin
-    Printf.printf "replaying %s (seed %d, trial %d)\n" path repro.Repro.r_seed
-      repro.Repro.r_trial;
+    Printf.printf "replaying %s (seed %d, trial %d, faults %d, fault seed %d)\n"
+      path repro.Repro.r_seed repro.Repro.r_trial config.Runner.cf_fault_rounds
+      config.Runner.cf_fault_seed;
     Printf.printf "recorded failure: %s\n" repro.Repro.r_failure;
     print_string
       (Vis_util.Tableprint.of_json ~title:"outcomes"
@@ -217,8 +226,7 @@ let save_repros out report =
               (Printf.sprintf "repro-%d-%s.json" f.Runner.f_trial
                  f.Runner.f_oracle)
           in
-          Repro.save path
-            (Runner.failure_to_repro ~seed:report.Runner.rp_config.cf_seed f);
+          Repro.save path (Runner.failure_to_repro report.Runner.rp_config f);
           Printf.printf "wrote %s\n" path)
         failures
 
@@ -228,7 +236,9 @@ let fuzz seed trials budget oracles stats json out max_states io_band
   if list then (list_oracles (); exit 0);
   if trials < 1 then die "--trials must be >= 1 (got %d)" trials;
   if jobs < 1 then die "--jobs must be >= 1 (got %d)" jobs;
-  if faults < 0 then die "--faults must be >= 0 (got %d)" faults;
+  (match faults with
+  | Some n when n < 0 -> die "--faults must be >= 0 (got %d)" n
+  | Some _ | None -> ());
   if max_failures < 1 then die "--max-failures must be >= 1 (got %d)" max_failures;
   (match budget with
   | Some b when b <= 0. -> die "--time-budget must be > 0 (got %g)" b
@@ -243,14 +253,14 @@ let fuzz seed trials budget oracles stats json out max_states io_band
       cf_io_band = io_band;
       cf_exec_tuples = exec_tuples;
       cf_jobs = jobs;
-      cf_fault_seed = fault_seed;
-      cf_fault_rounds = faults;
+      cf_fault_seed = Option.value fault_seed ~default:Repro.default_fault_seed;
+      cf_fault_rounds = Option.value faults ~default:Repro.default_fault_rounds;
       cf_shrink = not no_shrink;
       cf_max_failures = max_failures;
     }
   in
   match replay_file with
-  | Some path -> replay config path json
+  | Some path -> replay config ~faults ~fault_seed path json
   | None ->
       let report = Runner.run config in
       let doc = Runner.report_json report in

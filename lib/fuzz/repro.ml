@@ -156,7 +156,13 @@ type t = {
   r_failure : string;
   r_schema : Schema.t;
   r_original : Schema.t option;
+  r_fault_rounds : int;
+  r_fault_seed : int;
 }
+
+let default_fault_rounds = 1
+
+let default_fault_seed = 0
 
 let to_json r =
   Json.Obj
@@ -165,6 +171,8 @@ let to_json r =
        ("trial", Json.Int r.r_trial);
        ("oracle", Json.String r.r_oracle);
        ("failure", Json.String r.r_failure);
+       ("fault_rounds", Json.Int r.r_fault_rounds);
+       ("fault_seed", Json.Int r.r_fault_seed);
        ("schema", schema_to_json r.r_schema);
      ]
     @
@@ -173,6 +181,9 @@ let to_json r =
     | Some s -> [ ("original_schema", schema_to_json s) ])
 
 let of_json v =
+  let opt_int name default =
+    match Json.member name v with Json.Null -> default | f -> to_int name f
+  in
   {
     r_seed = geti "seed" v;
     r_trial = geti "trial" v;
@@ -183,6 +194,11 @@ let of_json v =
       (match Json.member "original_schema" v with
       | Json.Null -> None
       | s -> Some (schema_of_json s));
+    r_fault_rounds =
+      (match opt_int "fault_rounds" default_fault_rounds with
+      | n when n < 0 -> malformed "field %S: must be >= 0, found %d" "fault_rounds" n
+      | n -> n);
+    r_fault_seed = opt_int "fault_seed" default_fault_seed;
   }
 
 let save path r =

@@ -1,10 +1,10 @@
 (** Replayable failure reproductions.
 
     A repro is one JSON document carrying the (shrunk) schema that makes an
-    oracle fail, the oracle's name and failure message, and the seed/trial
-    coordinates of the run that found it — enough for
-    [visfuzz --replay repro.json] to re-execute the check deterministically,
-    and for a human to read the instance at a glance.
+    oracle fail, the oracle's name and failure message, the seed/trial
+    coordinates of the run that found it and the fault knobs it ran with —
+    enough for [visfuzz --replay repro.json] to re-execute the check
+    deterministically, and for a human to read the instance at a glance.
 
     Schemas round-trip exactly: floats are printed by {!Vis_util.Json} with
     17 significant digits, and {!schema_of_json} rebuilds the schema through
@@ -27,7 +27,16 @@ type t = {
   r_failure : string;  (** the oracle's failure message *)
   r_schema : Vis_catalog.Schema.t;  (** the shrunk failing instance *)
   r_original : Vis_catalog.Schema.t option;  (** pre-shrink instance *)
+  r_fault_rounds : int;  (** [visfuzz --faults] of the run *)
+  r_fault_seed : int;  (** [visfuzz --fault-seed] of the run *)
 }
+
+(** The [visfuzz] defaults of [--faults] (1) and [--fault-seed] (0), which
+    {!of_json} assumes for a document written before repros recorded
+    them. *)
+val default_fault_rounds : int
+
+val default_fault_seed : int
 
 val to_json : t -> Vis_util.Json.t
 

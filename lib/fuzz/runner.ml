@@ -26,8 +26,8 @@ let default_config () =
     cf_io_band = 25.;
     cf_exec_tuples = 20_000.;
     cf_jobs = 3;
-    cf_fault_seed = 0;
-    cf_fault_rounds = 1;
+    cf_fault_seed = Repro.default_fault_seed;
+    cf_fault_rounds = Repro.default_fault_rounds;
     cf_shrink = true;
     cf_max_failures = 20;
   }
@@ -150,14 +150,16 @@ let run cf =
     rp_failures = List.rev !failures;
   }
 
-let failure_to_repro ~seed f =
+let failure_to_repro cf f =
   {
-    Repro.r_seed = seed;
+    Repro.r_seed = cf.cf_seed;
     r_trial = f.f_trial;
     r_oracle = f.f_oracle;
     r_failure = f.f_message;
     r_schema = f.f_schema;
     r_original = f.f_original;
+    r_fault_rounds = cf.cf_fault_rounds;
+    r_fault_seed = cf.cf_fault_seed;
   }
 
 let report_json rp =
@@ -183,6 +185,6 @@ let report_json rp =
         Json.List
           (List.map
              (fun f ->
-               Repro.to_json (failure_to_repro ~seed:rp.rp_config.cf_seed f))
+               Repro.to_json (failure_to_repro rp.rp_config f))
              rp.rp_failures) );
     ]

@@ -65,7 +65,9 @@ val run : config -> report
 val check_schema :
   config -> trial:int -> Vis_catalog.Schema.t -> (string * Oracles.outcome) list
 
-val failure_to_repro : seed:int -> failure -> Repro.t
+(** [failure_to_repro config f] — the repro of [f], with the seed and
+    fault knobs of the run [config] describes. *)
+val failure_to_repro : config -> failure -> Repro.t
 
 (** The run as one JSON document: seed, trials, per-oracle pass/skip/fail
     counts and every failure as a repro. *)

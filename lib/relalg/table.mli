@@ -46,9 +46,10 @@ val update : t -> Vis_storage.Heap_file.rid -> int array -> bool
 val restore : t -> Vis_storage.Heap_file.rid -> int array -> bool
 
 (** [unapply_insert t rid tuple] undoes an append whose predicted rid was
-    [rid]: removes whichever index entries made it in, then truncates the
-    heap tail if the append executed.  Must be called in strict LIFO order
-    over the batch's log. *)
+    [rid]: removes whichever index entries made it in, then, if the append
+    executed, empties its slot ({!Vis_storage.Heap_file.truncate_last}: a
+    backfilled slot is cleared, a tail slot handed back).  Must be called in
+    strict LIFO order over the batch's log. *)
 val unapply_insert : t -> Vis_storage.Heap_file.rid -> int array -> bool
 
 (** [unapply_update t rid before] writes the before image back (directly at

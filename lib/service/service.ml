@@ -293,6 +293,7 @@ let snapshot tn =
 
 let stats t id = snapshot (find t id)
 let incumbent t id = (find t id).tn_config
+let warehouse t id = (find t id).tn_warehouse
 let signature t id = Warehouse.signature (find t id).tn_warehouse
 
 let logical_signature t id =

@@ -187,6 +187,10 @@ val stats : t -> int -> tenant_stats
 (** The tenant's current configuration. *)
 val incumbent : t -> int -> Vis_costmodel.Config.t
 
+(** The tenant's current warehouse (a swap replaces it), for inspection
+    between ticks. *)
+val warehouse : t -> int -> Vis_maintenance.Warehouse.t
+
 (** Physical digest of the tenant's warehouse
     ({!Vis_maintenance.Warehouse.signature}) — scans the storage, so call
     it at comparison points, not mid-measurement. *)

@@ -12,8 +12,9 @@
 
    Blocks are handed out bump-pointer style and released strictly LIFO
    (only the tail block can be dropped) — exactly the discipline of heap
-   files, whose pages grow at the tail and are only ever dropped by
-   [truncate_last] undoing the append that grew them. *)
+   files, whose pages grow at the tail, reuse freed slots in place, and are
+   only ever dropped by [truncate_last] undoing the append that grew
+   them. *)
 
 type words = (int, Bigarray.int_elt, Bigarray.c_layout) Bigarray.Array1.t
 

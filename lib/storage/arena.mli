@@ -5,7 +5,10 @@
     words carved out of the arena, addressed by offset.  Blocks are allocated
     bump-pointer style and released strictly LIFO ({!release} drops the tail
     block only), matching how heap files grow and how [truncate_last] undoes
-    the append that grew a page. *)
+    the append that grew a page.  A heap file reuses the slots its deletes
+    free inside the blocks it holds, so a block is never freed in the middle
+    of the arena: the arena grows only when every page but the tail page is
+    full. *)
 
 type words = (int, Bigarray.int_elt, Bigarray.c_layout) Bigarray.Array1.t
 

@@ -41,14 +41,21 @@ type t = {
 
 (* --- Corruption protection.
 
-   Node payloads are OCaml values, so each registered page checksums its
-   entry (or separator) array plus a per-node damage mask.  Injected damage
+   Node payloads are OCaml values, so each registered page seals its entry
+   (or separator) array plus a per-node damage count.  Injected damage
    never mutates tree *structure* (array lengths, kid pointers): a bit flip
    xors one bit of one entry field, a torn write replaces a suffix of
    entries with zeroed stale fields — the tree stays safe to traverse while
-   damaged, and the scrub pass convicts it by checksum.  Every damage also
-   flips a mask bit, so even damage that lands on an empty node or an
-   already-zero suffix is guaranteed detectable. *)
+   damaged, and the scrub pass convicts it by seal.  Every damage also
+   bumps the count, so even damage that lands on an empty node or an
+   already-zero suffix is detectable.
+
+   The count sits in the seal's low [dmg_bits] bits, apart from the entry
+   hash above them.  Folded into the hash chain instead, a count change and
+   an entry flip could cancel: the FNV-1a step carries a difference only
+   toward higher bits, so two flips at one high bit of two words can leave
+   the same state.  Kept apart, every single injection changes the low
+   bits, whatever it does to the entries. *)
 
 let fold_entries h entries =
   let h = ref (Checksum.add h (Array.length entries)) in
@@ -59,6 +66,12 @@ let fold_entries h entries =
       h := Checksum.add !h r.Heap_file.rid_slot)
     entries;
   !h
+
+let dmg_bits = 8
+
+let node_seal dmg entries =
+  let hash = Checksum.finish (fold_entries Checksum.empty entries) in
+  ((hash lsl dmg_bits) lor (dmg land ((1 lsl dmg_bits) - 1))) land max_int
 
 let zero_rid = { Heap_file.rid_page = 0; rid_slot = 0 }
 
@@ -84,29 +97,23 @@ let damage_entries entries way sel =
         let keep = sel mod n in
         Array.mapi (fun i e -> if i < keep then e else (0, zero_rid)) entries
 
-let register_leaf pool l =
+let node_hooks ~get ~set =
   let dmg = ref 0 in
+  {
+    Buffer_pool.hk_checksum = Some (fun () -> node_seal !dmg (get ()));
+    hk_corrupt =
+      (fun way sel ->
+        incr dmg;
+        set (damage_entries (get ()) way sel));
+  }
+
+let register_leaf pool l =
   Buffer_pool.protect pool l.lgid
-    {
-      Buffer_pool.hk_checksum =
-        Some (fun () -> Checksum.finish (fold_entries (Checksum.add Checksum.empty !dmg) l.entries));
-      hk_corrupt =
-        (fun way sel ->
-          dmg := !dmg lxor (1 lsl (sel mod 62));
-          l.entries <- damage_entries l.entries way sel);
-    }
+    (node_hooks ~get:(fun () -> l.entries) ~set:(fun e -> l.entries <- e))
 
 let register_inner pool nd =
-  let dmg = ref 0 in
   Buffer_pool.protect pool nd.igid
-    {
-      Buffer_pool.hk_checksum =
-        Some (fun () -> Checksum.finish (fold_entries (Checksum.add Checksum.empty !dmg) nd.seps));
-      hk_corrupt =
-        (fun way sel ->
-          dmg := !dmg lxor (1 lsl (sel mod 62));
-          nd.seps <- damage_entries nd.seps way sel);
-    }
+    (node_hooks ~get:(fun () -> nd.seps) ~set:(fun e -> nd.seps <- e))
 
 let create ?(protect = false) pool ~fanout =
   if fanout < 4 then invalid_arg "Btree.create: fanout < 4";

@@ -63,3 +63,13 @@ val page_gids : t -> int list
 val protect : t -> unit
 
 val protected : t -> bool
+
+(** [node_hooks ~get ~set] — the protection hooks {!protect} registers for
+    a node whose entry array (a leaf's entries, an inner node's separators)
+    [get] reads and [set] replaces.  The seal covers the entries and a
+    count of the injections so far, so every single [hk_corrupt] changes
+    it.  Exposed for the seal tests. *)
+val node_hooks :
+  get:(unit -> (int * Heap_file.rid) array) ->
+  set:((int * Heap_file.rid) array -> unit) ->
+  Buffer_pool.page_hooks

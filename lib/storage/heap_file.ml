@@ -15,6 +15,7 @@ type t = {
   mutable n_pages : int;
   mutable n_tuples : int;
   mutable tail_used : int;  (* slots handed out on the last page *)
+  mutable hint : int;  (* every page below it is full: where [next_rid] looks *)
   mutable prot : bool;  (* checksum-protect pages as they are created *)
 }
 
@@ -32,6 +33,7 @@ let create ?arity pool ~tuples_per_page =
     n_pages = 0;
     n_tuples = 0;
     tail_used = 0;
+    hint = 0;
     prot = false;
   }
 
@@ -106,26 +108,65 @@ let clear_slot t page slot = Arena.set t.arena (slot_off t page slot) 0
 let read_slot t page slot =
   Arena.to_array t.arena ~off:(slot_off t page slot + 1) ~len:t.arity
 
+(* Freed slots are reused: the next append fills the lowest free slot on
+   the first page below the tail that has one, and goes to the tail only
+   when no such page exists — so the file's length follows its live tuples,
+   not every tuple ever inserted.  Every page handed out before the tail
+   has had all its slots handed out, so its holes are [tpp - live]: the
+   search reads the [live] counters and moves [hint] past the full pages it
+   skips; only the page it stops on is read slot by slot.  Tail-page holes
+   wait until the page stops being the tail, so an append to the tail page
+   is always at [tail_used] and [truncate_last] can tell it from a
+   backfill.  The rid is a pure function of the file's state, which is what
+   lets the write-ahead log predict it. *)
+let rec free_slot t page s =
+  if s >= t.tpp then -1 else if slot_live t page s then free_slot t page (s + 1) else s
+
+let rec search t p =
+  if p >= t.n_pages - 1 then
+    if t.n_pages = 0 || t.tail_used >= t.tpp then { rid_page = t.n_pages; rid_slot = 0 }
+    else { rid_page = t.n_pages - 1; rid_slot = t.tail_used }
+  else
+    let page = t.pages.(p) in
+    if page.live = t.tpp then begin
+      if t.hint = p then t.hint <- p + 1;
+      search t (p + 1)
+    end
+    else
+      (* A page whose presence words show no hole despite its [live] count
+         is damaged; it is passed over (not skipped by [hint]) until scrub
+         convicts it. *)
+      let s = free_slot t page 0 in
+      if s < 0 then search t (p + 1) else { rid_page = p; rid_slot = s }
+
+let next_rid t = search t t.hint
+
 let append t tuple =
   fix_arity t tuple;
+  let rid = next_rid t in
+  let at_tail = rid.rid_page >= t.n_pages - 1 in
   let page =
-    if t.n_pages = 0 || t.tail_used >= t.tpp then grow t
+    if rid.rid_page = t.n_pages then grow t
     else begin
-      let page = t.pages.(t.n_pages - 1) in
+      (* Fault before mutation, as in [grow]. *)
+      let page = t.pages.(rid.rid_page) in
       Buffer_pool.touch t.pool page.gid ~dirty:true;
       page
     end
   in
-  let slot = t.tail_used in
-  write_slot t page slot tuple;
+  write_slot t page rid.rid_slot tuple;
   page.live <- page.live + 1;
-  t.tail_used <- t.tail_used + 1;
+  if at_tail then t.tail_used <- t.tail_used + 1;
   t.n_tuples <- t.n_tuples + 1;
-  { rid_page = t.n_pages - 1; rid_slot = slot }
+  rid
 
-let next_rid t =
-  if t.n_pages = 0 || t.tail_used >= t.tpp then { rid_page = t.n_pages; rid_slot = 0 }
-  else { rid_page = t.n_pages - 1; rid_slot = t.tail_used }
+(* Empty a live slot of page [p]; the free-slot search must look there. *)
+let remove_live t p slot =
+  let page = t.pages.(p) in
+  clear_slot t page slot;
+  page.live <- page.live - 1;
+  t.n_tuples <- t.n_tuples - 1;
+  if p < t.hint then t.hint <- p
 
 let check_rid t rid =
   rid.rid_page >= 0 && rid.rid_page < t.n_pages && rid.rid_slot >= 0
@@ -144,9 +185,7 @@ let delete t rid =
   Buffer_pool.touch t.pool page.gid ~dirty:true;
   if not (slot_live t page rid.rid_slot) then false
   else begin
-    clear_slot t page rid.rid_slot;
-    page.live <- page.live - 1;
-    t.n_tuples <- t.n_tuples - 1;
+    remove_live t rid.rid_page rid.rid_slot;
     true
   end
 
@@ -176,26 +215,35 @@ let restore t rid tuple =
 
 let truncate_last t rid =
   (* Tolerant: the rid was *predicted* before the append ran, so when undo
-     reaches it the append may never have happened — then the rid still
-     points one past the tail and there is nothing to remove. *)
+     reaches it the append may never have happened — then a tail rid still
+     points one past the tail, and a backfill rid at an empty slot, and
+     there is nothing to remove. *)
   if
     rid.rid_page >= t.n_pages
     || (rid.rid_page = t.n_pages - 1 && rid.rid_slot >= t.tail_used)
   then false
-  else if rid.rid_page = t.n_pages - 1 && rid.rid_slot = t.tail_used - 1 then begin
+  else if rid.rid_page < t.n_pages - 1 then begin
+    (* Undo of a backfill: clear the slot, keep the page. *)
+    if not (check_rid t rid) then invalid_arg "Heap_file.truncate_last: bad rid";
+    let page = t.pages.(rid.rid_page) in
+    if not (slot_live t page rid.rid_slot) then false
+    else begin
+      Buffer_pool.touch t.pool page.gid ~dirty:true;
+      remove_live t rid.rid_page rid.rid_slot;
+      true
+    end
+  end
+  else if rid.rid_slot = t.tail_used - 1 then begin
     let page = t.pages.(rid.rid_page) in
     Buffer_pool.touch t.pool page.gid ~dirty:true;
-    if slot_live t page rid.rid_slot then begin
-      clear_slot t page rid.rid_slot;
-      page.live <- page.live - 1;
-      t.n_tuples <- t.n_tuples - 1
-    end;
+    if slot_live t page rid.rid_slot then remove_live t rid.rid_page rid.rid_slot;
     t.tail_used <- t.tail_used - 1;
     if t.tail_used = 0 then begin
       (* The append that created this slot also grew the page: drop it
          without a write-back, returning its arena block (LIFO — the tail
          page's block is the arena's tail) and restoring the pre-append
-         page count. *)
+         page count.  Every page below [hint] is full, so [hint] stays
+         valid past the shorter file. *)
       Buffer_pool.discard t.pool page.gid;
       if t.prot then Buffer_pool.unprotect t.pool page.gid;
       Arena.release t.arena (page_words t);

@@ -9,7 +9,16 @@
     slot's presence word, and {!scan_where} its key word, in place; a tuple
     is copied onto the OCaml heap only when it is handed to the caller.  The
     file's arity is fixed at {!create} or by the first {!append}; later
-    operations with a different arity raise [Invalid_argument]. *)
+    operations with a different arity raise [Invalid_argument].
+
+    Freed slots are reused: {!append} fills the lowest free slot on the
+    first page below the tail page that has one, and writes at the tail
+    only when none does, so the file's length (and what every scan walks)
+    follows the high-water mark of its live tuples rather than every tuple
+    ever inserted.  A hole on the tail page waits until that page stops
+    being the tail: an append to the tail page is always at its next unused
+    slot, which is what lets {!truncate_last} tell the two kinds of append
+    apart. *)
 
 type rid = { rid_page : int; rid_slot : int }
 (** Record identifier: page index within the file and slot within the
@@ -21,9 +30,14 @@ type t
     the first {!append} fixes it. *)
 val create : ?arity:int -> Buffer_pool.t -> tuples_per_page:int -> t
 
-(** [append t tuple] stores a tuple at the end of the file (touching the tail
-    page, allocating a new one when full) and returns its rid.  The tuple is
-    copied into the arena, so later mutation of [tuple] is invisible. *)
+(** [append t tuple] stores a tuple and returns its rid: in the lowest free
+    slot of the lowest page below the tail page that has one (a
+    {e backfill}), else in the tail page's next unused slot, allocating a
+    new tail page when it is full.  It touches the page it writes (dirty)
+    before writing it, so a fault leaves the file unchanged.  On a file
+    without holes below the tail, such as a freshly built one, it is O(1).
+    The tuple is copied into the arena, so later mutation of [tuple] is
+    invisible. *)
 val append : t -> int array -> rid
 
 (** [get t rid] fetches a tuple (materialized fresh from the arena), or
@@ -36,9 +50,11 @@ val delete : t -> rid -> bool
 (** [update t rid tuple] overwrites the slot in place; [false] when empty. *)
 val update : t -> rid -> int array -> bool
 
-(** [next_rid t] is the rid the next {!append} will return — used by the
-    write-ahead log to record an insertion's destination before applying
-    it. *)
+(** [next_rid t] is the rid the next {!append} will return, backfill or
+    tail slot alike — used by the write-ahead log to record an insertion's
+    destination before applying it.  A pure function of the file's
+    contents (it touches no page), so it is the same at any [--jobs] and
+    under any fault plan. *)
 val next_rid : t -> rid
 
 (** [restore t rid tuple] refills an emptied slot (undo of a delete);
@@ -46,12 +62,19 @@ val next_rid : t -> rid
     recovery cannot know how far the crashed operation got. *)
 val restore : t -> rid -> int array -> bool
 
-(** [truncate_last t rid] removes the tail slot if [rid] is it (undo of an
-    append), dropping the tail page entirely when the append had grown it
-    (its arena block is released LIFO).  [false] when [rid] points one past
-    the tail, i.e. the logged append never executed.  Raises
-    [Invalid_argument] if [rid] is neither — undo must run in strict LIFO
-    order. *)
+(** [truncate_last t rid] undoes the {!append} that returned [rid]; undo
+    must run in strict LIFO order, so the file is then exactly as that
+    append left it.
+    - A backfill ([rid] on a page below the tail page): the slot is cleared
+      and the page kept.  [false], without touching the pool, when the slot
+      is already empty — the logged append never executed.
+    - A tail append ([rid] the tail page's last used slot): the slot is
+      handed back, and the tail page is dropped entirely when the append
+      had grown it (its arena block is released LIFO).
+    - [false] when [rid] points at or past the tail page's next unused
+      slot: the logged tail append never executed.
+
+    Raises [Invalid_argument] for any other rid on the tail page. *)
 val truncate_last : t -> rid -> bool
 
 (** [scan t ~f] visits every live tuple in file order, touching every page

@@ -26,8 +26,9 @@ type record =
   | Begin
   | Commit
   | Ins of { table : int; rid : Heap_file.rid; tuple : int array }
-      (** [rid] is the {e predicted} destination — when undo reaches it the
-          append may not have executed *)
+      (** [rid] is the {e predicted} destination ({!Heap_file.next_rid}: a
+          freed slot below the tail page, or the tail slot) — when undo
+          reaches it the append may not have executed *)
   | Del of { table : int; rid : Heap_file.rid; before : int array }
   | Upd of { table : int; rid : Heap_file.rid; before : int array; after : int array }
 

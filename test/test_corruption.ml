@@ -259,6 +259,46 @@ let test_pool_reseal_on_dirty_eviction () =
   checkb "eviction resealed the modified payload" true (Buffer_pool.verify pool gid);
   checki "no failures" 0 (Iostats.checksum_failures stats)
 
+(* A B+-tree node's seal changes on every single injection: a bit flip or
+   a torn write, on a leaf's entries or an inner node's separators, at each
+   size from empty to 16 entries.  [sel] runs over lcm(62, 3n) * 62 values,
+   which covers every (sel mod 62, entry field, entry bit) combination a
+   selector picks — the pairing under which a damage mask folded into the
+   hash chain once cancelled an entry flip at the same bit. *)
+let test_btree_node_seal_catches_every_injection () =
+  let rec gcd a b = if b = 0 then a else gcd b (a mod b) in
+  let node ~inner n =
+    Array.init n (fun i ->
+        if inner then
+          ((i * 1_000_003) - 5_000, { Heap_file.rid_page = 40 + i; rid_slot = i mod 3 })
+        else (i / 3, { Heap_file.rid_page = i / 4; rid_slot = i mod 4 }))
+  in
+  List.iter
+    (fun inner ->
+      for n = 0 to 16 do
+        let orig = node ~inner n in
+        let span = if n = 0 then 62 else 62 * 3 * n / gcd 62 (3 * n) * 62 in
+        List.iter
+          (fun way ->
+            let missed = ref 0 in
+            for sel = 0 to span - 1 do
+              let cur = ref orig in
+              let hk = Btree.node_hooks ~get:(fun () -> !cur) ~set:(fun e -> cur := e) in
+              let seal = Option.get hk.Buffer_pool.hk_checksum in
+              let before = seal () in
+              hk.Buffer_pool.hk_corrupt way sel;
+              if seal () = before then incr missed
+            done;
+            checki
+              (Printf.sprintf "%s node, %d entries, %s: injections the seal missed"
+                 (if inner then "inner" else "leaf")
+                 n
+                 (if way = Faults.Bit_flip then "bit flip" else "torn write"))
+              0 !missed)
+          [ Faults.Bit_flip; Faults.Torn_write ]
+      done)
+    [ false; true ]
+
 let test_pool_pin_exhaustion_keeps_seals () =
   let pool, stats = fresh_pool ~capacity:2 () in
   let gid, payload = protected_payload pool in
@@ -550,6 +590,8 @@ let () =
             test_pool_reseal_on_dirty_eviction;
           Alcotest.test_case "pin exhaustion keeps seals" `Quick
             test_pool_pin_exhaustion_keeps_seals;
+          Alcotest.test_case "B+-tree node seal catches every injection" `Quick
+            test_btree_node_seal_catches_every_injection;
         ] );
       ( "wal-crc",
         [

@@ -77,6 +77,8 @@ let test_repro_roundtrip_and_file () =
       r_failure = "A* cost 1.5 differs from exhaustive optimum 1.0";
       r_schema = schema;
       r_original = Some original;
+      r_fault_rounds = 3;
+      r_fault_seed = 5;
     }
   in
   checkb "repro survives the JSON round trip" true
@@ -90,7 +92,61 @@ let test_repro_roundtrip_and_file () =
   (* Without the original schema the field is simply absent. *)
   let r' = { r with Repro.r_original = None } in
   checkb "repro without an original round-trips too" true
-    (Repro.of_json (Repro.to_json r') = r')
+    (Repro.of_json (Repro.to_json r') = r');
+  (* A document written before repros recorded the fault knobs loads with
+     visfuzz's defaults for them. *)
+  let old =
+    match Repro.to_json r with
+    | Json.Obj fields ->
+        Json.Obj
+          (List.filter (fun (k, _) -> k <> "fault_rounds" && k <> "fault_seed") fields)
+    | _ -> Alcotest.fail "a repro is a JSON object"
+  in
+  checkb "an old repro loads with the default fault knobs" true
+    (Repro.of_json old
+    = { r with Repro.r_fault_rounds = Repro.default_fault_rounds;
+               r_fault_seed = Repro.default_fault_seed })
+
+(* [visfuzz --replay] runs with the fault knobs the repro recorded, and the
+   command-line flags override them. *)
+let test_replay_uses_recorded_faults () =
+  let visfuzz =
+    Filename.concat
+      (Filename.concat (Filename.dirname (Filename.dirname Sys.executable_name)) "bin")
+      "visfuzz.exe"
+  in
+  let rng = Random.State.make [| 29; 1 |] in
+  let r =
+    {
+      Repro.r_seed = 3;
+      r_trial = 9;
+      r_oracle = "corruption-recovery";
+      r_failure = "recorded";
+      r_schema = Gen.executable ~rng ();
+      r_original = None;
+      r_fault_rounds = 3;
+      r_fault_seed = 5;
+    }
+  in
+  let path = Filename.temp_file "visfuzz-repro" ".json" in
+  let out = Filename.temp_file "visfuzz-replay" ".json" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path; Sys.remove out)
+    (fun () ->
+      Repro.save path r;
+      let knobs flags =
+        let cmd = Printf.sprintf "%s --replay %s --json %s > %s" visfuzz path flags out in
+        checki ("replay exits 0: " ^ flags) 0 (Sys.command cmd);
+        let ic = open_in out in
+        let doc =
+          Fun.protect ~finally:(fun () -> close_in ic) (fun () ->
+              Json.of_string (really_input_string ic (in_channel_length ic)))
+        in
+        (Json.member "fault_rounds" doc, Json.member "fault_seed" doc)
+      in
+      checkb "the recorded knobs are replayed" true (knobs "" = (Json.Int 3, Json.Int 5));
+      checkb "flags override the recorded knobs" true
+        (knobs "--faults 1 --fault-seed 0" = (Json.Int 1, Json.Int 0)))
 
 let test_malformed_repro_rejected () =
   let raises f =
@@ -100,6 +156,21 @@ let test_malformed_repro_rejected () =
   in
   checkb "an empty document is malformed" true
     (raises (fun () -> Repro.of_json (Json.Obj [])));
+  checkb "negative fault rounds are malformed" true
+    (raises (fun () ->
+         let rng = Random.State.make [| 29; 2 |] in
+         Repro.of_json
+           (Repro.to_json
+              {
+                Repro.r_seed = 1;
+                r_trial = 0;
+                r_oracle = "crash-recovery";
+                r_failure = "";
+                r_schema = Gen.executable ~rng ();
+                r_original = None;
+                r_fault_rounds = -1;
+                r_fault_seed = 0;
+              })));
   checkb "a wrongly-typed field is malformed" true
     (raises (fun () ->
          Repro.of_json
@@ -298,6 +369,8 @@ let () =
           Alcotest.test_case "smoke" `Quick test_runner_smoke;
           Alcotest.test_case "deterministic" `Quick test_runner_deterministic;
           Alcotest.test_case "replay path" `Quick test_check_schema_replays;
+          Alcotest.test_case "replay uses recorded faults" `Quick
+            test_replay_uses_recorded_faults;
         ] );
       ( "shrink",
         [

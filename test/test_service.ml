@@ -583,6 +583,48 @@ let test_latency_record_bounded () =
     (List.fold_left (fun acc (v, c) -> acc +. (v *. float_of_int c)) 0. !hist
     /. float_of_int (List.fold_left (fun acc (_, c) -> acc + c) 0 !hist))
 
+(* A churning daemon tenant's storage follows its live tuples: heap files
+   reuse freed slots, so over 120 ticks of 2% inserts and 2% deletes per
+   batch (about a quarter of each file per tick) the warehouse's pages stay
+   within [slack] of the pages its tables' peak live cardinalities (seen
+   between ticks) fill, plus one partly filled tail page per table.  The
+   slack covers peaks inside a tick, where a batch's inserts run before
+   its deletes.  With append-only heaps the footprint grows with every
+   tick served. *)
+let test_churning_footprint_bounded () =
+  let module Warehouse = Vis_maintenance.Warehouse in
+  let module Table = Vis_relalg.Table in
+  let module Heap_file = Vis_storage.Heap_file in
+  let slack = 1.25 in
+  let schema = Vis_workload.Schemas.validation ~base_card:100. ~ins_frac:0.02 ~del_frac:0.02 () in
+  let calm = { base_config with Service.sv_band = 1e9 } in
+  let svc = Service.create ~config:calm () in
+  Fun.protect
+    ~finally:(fun () -> Service.shutdown svc)
+    (fun () ->
+      let id =
+        Service.add_tenant ~seed:3 ~rate:12. ~config:(Lazy.force design) svc schema
+      in
+      let heaps () = Array.map Table.heap (Warehouse.durable_tables (Service.warehouse svc id)) in
+      let peak = Array.map Heap_file.n_tuples (heaps ()) in
+      for tick = 1 to 120 do
+        Service.tick svc;
+        let heaps = heaps () in
+        let needed = ref 0 in
+        Array.iteri
+          (fun i h ->
+            peak.(i) <- max peak.(i) (Heap_file.n_tuples h);
+            let tpp = Heap_file.tuples_per_page h in
+            needed := !needed + ((peak.(i) + tpp - 1) / tpp))
+          heaps;
+        let pages = Warehouse.total_data_pages (Service.warehouse svc id) in
+        let bound = int_of_float (slack *. float_of_int !needed) + Array.length heaps in
+        if pages > bound then
+          Alcotest.failf "tick %d: %d pages, peak live tuples fill %d (bound %d)" tick
+            pages !needed bound
+      done;
+      checki "no swap replaced the warehouse" 0 (Service.stats svc id).Service.ts_swaps)
+
 let test_run_tasks () =
   let pool = Parallel.create ~jobs:4 () in
   Fun.protect
@@ -639,6 +681,8 @@ let () =
           Alcotest.test_case "percentile" `Quick test_percentile;
           Alcotest.test_case "bounded latency record" `Quick
             test_latency_record_bounded;
+          Alcotest.test_case "churning footprint bounded" `Quick
+            test_churning_footprint_bounded;
           Alcotest.test_case "run_tasks" `Quick test_run_tasks;
         ] );
     ]

@@ -814,7 +814,7 @@ let test_heap_dirty_eviction_write_ordering () =
     (Iostats.writes stats = w)
 
 (* Appends that cross a page boundary: rid arithmetic, page growth, arena
-   growth, and the no-backfill discipline at the edges. *)
+   growth, and which holes an append backfills. *)
 let test_heap_append_across_page_boundary () =
   let pool, _ = fresh_pool ~capacity:16 () in
   let h = Heap_file.create pool ~tuples_per_page:3 in
@@ -827,33 +827,185 @@ let test_heap_append_across_page_boundary () =
     rids;
   checkb "next rid continues on the tail page" true
     (Heap_file.next_rid h = { Heap_file.rid_page = 2; rid_slot = 1 });
-  (* A hole in a full earlier page is never backfilled: the next append
-     still lands at the tail. *)
+  (* A hole in a full page below the tail is backfilled, and next_rid
+     predicts it. *)
   checkb "delete mid-file" true (Heap_file.delete h rids.(1));
+  checkb "next rid predicts the backfill" true
+    (Heap_file.next_rid h = { Heap_file.rid_page = 0; rid_slot = 1 });
   let r7 = Heap_file.append h [| 7 |] in
-  checkb "append ignores holes" true
-    (r7 = { Heap_file.rid_page = 2; rid_slot = 1 });
+  checkb "append backfills a hole below the tail" true
+    (r7 = { Heap_file.rid_page = 0; rid_slot = 1 });
+  checki "no page added for a backfill" 3 (Heap_file.n_pages h);
+  (* A hole on the tail page is not: the append lands at the tail. *)
+  checkb "delete on the tail page" true (Heap_file.delete h rids.(6));
+  let r8 = Heap_file.append h [| 8 |] in
+  checkb "a tail-page hole waits" true
+    (r8 = { Heap_file.rid_page = 2; rid_slot = 1 });
   checki "no page added for tail append" 3 (Heap_file.n_pages h);
   (* Filling the tail page does not grow the arena; opening the next page
      does. *)
   let words_before = Heap_file.arena_words h in
-  ignore (Heap_file.append h [| 8 |]);
+  ignore (Heap_file.append h [| 9 |]);
   checki "tail fill reuses the page block" words_before
     (Heap_file.arena_words h);
-  ignore (Heap_file.append h [| 9 |]);
+  ignore (Heap_file.append h [| 10 |]);
   checki "boundary append opens page four" 4 (Heap_file.n_pages h);
   checkb "arena grew across the boundary" true
     (Heap_file.arena_words h > words_before);
-  checkb "first tuple on the new page" true
-    (Heap_file.next_rid h = { Heap_file.rid_page = 3; rid_slot = 1 });
+  (* Page three stopped being the tail, so its hole is now reusable. *)
+  checkb "the old tail page's hole is next" true
+    (Heap_file.next_rid h = { Heap_file.rid_page = 2; rid_slot = 0 });
   (* Truncating the only tuple on the new page drops the page again. *)
   checkb "truncate boundary tuple" true
     (Heap_file.truncate_last h { Heap_file.rid_page = 3; rid_slot = 0 });
   checki "fresh page dropped" 3 (Heap_file.n_pages h);
+  checkb "the hole waits again on the tail page" true
+    (Heap_file.next_rid h = { Heap_file.rid_page = 3; rid_slot = 0 });
   (* Arity was fixed by the first append and boundary crossings keep it. *)
   Alcotest.check_raises "arity mismatch across boundary"
     (Invalid_argument "Heap_file: arity mismatch") (fun () ->
       ignore (Heap_file.append h [| 1; 2 |]))
+
+(* Seeded heap churn against a reference model.  Each round is one
+   transaction of random appends, deletes and updates, each logged before
+   it runs the way the write-ahead log does it (an append logs
+   [next_rid]); a transaction either commits or is undone in LIFO order
+   ([truncate_last], [restore], [update] with the before image) with the
+   fault plan disarmed, as recovery does.  Checks, at every step:
+   - [next_rid] is the rid the append returns;
+   - a faulted operation leaves the file unchanged (fault before mutation),
+     and undo of an append that never ran is a [false] no-op;
+   - the live tuples are the model's;
+   - [n_pages <= ceil (peak n_tuples / tpp) + 1]: the file follows its
+     live high-water mark;
+   and after every rollback, the file is exactly the pre-transaction one:
+   live tuples, [n_tuples], [n_pages] and [next_rid]. *)
+type heap_undo =
+  | U_append of Heap_file.rid * bool  (* predicted rid, whether it ran *)
+  | U_delete of Heap_file.rid * int array
+  | U_update of Heap_file.rid * int array
+
+(* The file as the model sees it, read with the pool's fault plan
+   disarmed. *)
+let heap_state pool h =
+  let plan = Buffer_pool.faults pool in
+  let armed = Faults.armed plan in
+  Faults.disarm plan;
+  let live = ref [] in
+  Heap_file.scan h ~f:(fun rid t -> live := (rid, t) :: !live);
+  if armed then Faults.arm plan;
+  (List.sort compare !live, Heap_file.n_tuples h, Heap_file.n_pages h, Heap_file.next_rid h)
+
+let test_heap_churn_against_model () =
+  List.iter
+    (fun (tpp, seed) ->
+      let rng = Random.State.make [| 41; tpp; seed |] in
+      let pool, _ = fresh_pool ~capacity:3 () in
+      let plan =
+        Faults.make ~seed
+          [ Faults.Fail_prob { op = None; p = 0.03; kind = Faults.Permanent } ]
+      in
+      Buffer_pool.set_faults pool plan;
+      let h = Heap_file.create pool ~tuples_per_page:tpp in
+      let model : (Heap_file.rid, int array) Hashtbl.t = Hashtbl.create 64 in
+      let peak = ref 0 in
+      let fresh = ref 0 in
+      let where fmt = Printf.ksprintf (fun m -> Printf.sprintf "tpp %d seed %d: %s" tpp seed m) fmt in
+      let check_model step =
+        let want = List.sort compare (Hashtbl.fold (fun r t acc -> (r, t) :: acc) model []) in
+        let live, n, pages, _ = heap_state pool h in
+        if live <> want then Alcotest.fail (where "%s: live tuples differ from the model" step);
+        checki (where "%s: n_tuples" step) (Hashtbl.length model) n;
+        peak := max !peak n;
+        let bound = ((!peak + tpp - 1) / tpp) + 1 in
+        if pages > bound then
+          Alcotest.failf "%s" (where "%s: %d pages, peak %d tuples allow %d" step pages !peak bound)
+      in
+      let random_live () =
+        let rids = Hashtbl.fold (fun r _ acc -> r :: acc) model [] in
+        List.nth (List.sort compare rids) (Random.State.int rng (List.length rids))
+      in
+      (* One forward operation, logged before it runs: returns its undo
+         record and whether it ran (a faulted one must change nothing). *)
+      let forward () =
+        let before = heap_state pool h in
+        let unchanged what =
+          if heap_state pool h <> before then
+            Alcotest.fail (where "a faulted %s changed the file" what)
+        in
+        incr fresh;
+        let tuple = [| !fresh; Random.State.int rng 100 |] in
+        match Random.State.int rng 10 with
+        | n when n < 5 || Hashtbl.length model = 0 -> (
+            let rid = Heap_file.next_rid h in
+            match Heap_file.append h tuple with
+            | actual ->
+                if actual <> rid then Alcotest.fail (where "next_rid mispredicted the append");
+                Hashtbl.replace model rid tuple;
+                (U_append (rid, true), true)
+            | exception Faults.Injected _ ->
+                unchanged "append";
+                (U_append (rid, false), false))
+        | n when n < 8 -> (
+            let rid = random_live () in
+            let u = U_delete (rid, Hashtbl.find model rid) in
+            match Heap_file.delete h rid with
+            | ok ->
+                checkb (where "delete of a live slot") true ok;
+                Hashtbl.remove model rid;
+                (u, true)
+            | exception Faults.Injected _ ->
+                unchanged "delete";
+                (u, false))
+        | _ -> (
+            let rid = random_live () in
+            let u = U_update (rid, Hashtbl.find model rid) in
+            match Heap_file.update h rid tuple with
+            | ok ->
+                checkb (where "update of a live slot") true ok;
+                Hashtbl.replace model rid tuple;
+                (u, true)
+            | exception Faults.Injected _ ->
+                unchanged "update";
+                (u, false))
+      in
+      let undo = function
+        | U_append (rid, ran) ->
+            checkb (where "truncate_last reports whether the append ran") ran
+              (Heap_file.truncate_last h rid);
+            Hashtbl.remove model rid
+        | U_delete (rid, old) ->
+            ignore (Heap_file.restore h rid old);
+            Hashtbl.replace model rid old
+        | U_update (rid, old) ->
+            ignore (Heap_file.update h rid old);
+            Hashtbl.replace model rid old
+      in
+      for round = 1 to 150 do
+        let snapshot = heap_state pool h in
+        let saved = Hashtbl.copy model in
+        Faults.arm plan;
+        let log = ref [] and faulted = ref false in
+        let steps = 1 + Random.State.int rng 12 in
+        let i = ref 0 in
+        while !i < steps && not !faulted do
+          let u, ran = forward () in
+          log := u :: !log;
+          faulted := not ran;
+          check_model (Printf.sprintf "round %d step %d" round !i);
+          incr i
+        done;
+        Faults.disarm plan;
+        if !faulted || Random.State.int rng 3 = 0 then begin
+          List.iter undo !log;
+          if heap_state pool h <> snapshot then
+            Alcotest.fail (where "round %d: rollback did not restore the file" round);
+          Hashtbl.reset model;
+          Hashtbl.iter (Hashtbl.replace model) saved
+        end;
+        check_model (Printf.sprintf "round %d end" round)
+      done)
+    [ (1, 1); (2, 2); (3, 3); (4, 4); (5, 5) ]
 
 (* Keys whose multiplicative hash ([Vis_util.Int_hashtbl.hash], which the
    heap's key filter also uses) has its 16 low bits set: in any filter
@@ -1315,6 +1467,8 @@ let () =
             test_heap_dirty_eviction_write_ordering;
           Alcotest.test_case "append across page boundary" `Quick
             test_heap_append_across_page_boundary;
+          Alcotest.test_case "churn against a reference model" `Quick
+            test_heap_churn_against_model;
           Alcotest.test_case "scan_where is a filtered scan" `Quick
             test_heap_scan_where;
           Alcotest.test_case "scan_where under faults" `Quick
