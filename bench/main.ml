@@ -798,52 +798,31 @@ let search_cost_evaluations () =
 (* [Extra 10] Fault-injected refresh: the page I/O cost of WAL protection
    on the fault-free path (must stay within 5% of the unprotected
    refresh), and what a crash-retry, a forced rollback and a degradation
-   to view recomputation cost on the same batch. *)
+   to view recomputation cost on the same batch.  Every scenario goes
+   through [Validate.refresh_trial]; a verdict other than a provable end
+   state fails the run. *)
 
 let extra10 () =
   section "[Extra 10] Fault-injected refresh: WAL overhead and recovery";
-  let module Datagen = Vis_workload.Datagen in
-  let module Warehouse = Vis_maintenance.Warehouse in
   let module Refresh = Vis_maintenance.Refresh in
+  let module Validate = Vis_maintenance.Validate in
   let module Faults = Vis_storage.Faults in
   let schema = Schemas.validation () in
   let best = (Astar.search (Problem.make schema)).Astar.best in
   let seed = 42 in
-  let world () =
-    let rng = Random.State.make [| seed |] in
-    let ds = Datagen.generate ~rng schema in
-    let w = Warehouse.build schema best ds in
-    let batch = Datagen.deltas ~rng schema ds in
-    (w, batch)
-  in
-  let w0, b0 = world () in
+  let w0, b0 = Validate.world ~seed schema best in
   let r0 = Refresh.run w0 b0 in
   let base_io = Refresh.total_io r0 in
-  let reference = Warehouse.signature w0 in
-  let logical_reference = Warehouse.logical_signature w0 in
+  let reference = Validate.reference w0 in
   let rows = ref [] in
   let overhead = ref 0. in
   let scenario name plan =
-    let w, b = world () in
-    let io, stats, outcome =
-      match Refresh.run_protected ?faults:plan w b with
-      | Ok (r, fs) ->
-          let outcome =
-            if fs.Refresh.fs_degraded then
-              if Warehouse.logical_signature w = logical_reference then
-                "degraded, logically exact"
-              else "DEGRADED MISMATCH"
-            else if Warehouse.signature w = reference then "bit-identical"
-            else "STATE MISMATCH"
-          in
-          (Refresh.total_io r, fs, outcome)
-      | Error e ->
-          let io =
-            w.Warehouse.w_stats |> fun s ->
-            Vis_storage.Iostats.reads s + Vis_storage.Iostats.writes s
-          in
-          (io, e.Refresh.err_stats, "rolled back to pre-batch")
-    in
+    let w, b = Validate.world ~seed schema best in
+    let t = Validate.refresh_trial reference ~faults:plan w b in
+    let io = t.Validate.tr_io and stats = t.Validate.tr_stats in
+    let outcome = Validate.verdict_name t.Validate.tr_verdict in
+    if not (Validate.verdict_ok t.Validate.tr_verdict) then
+      failwith (Printf.sprintf "fault_recovery %S: %s" name outcome);
     if name = "WAL, no faults" then begin
       overhead := float_of_int (io - base_io) /. float_of_int base_io;
       (* Tightened from 10% in PR 7: group commit removed the per-batch
@@ -869,23 +848,19 @@ let extra10 () =
         ]
       :: !rows
   in
-  scenario "WAL, no faults" None;
+  scenario "WAL, no faults" (Faults.none ());
   scenario "transient write fault"
-    (Some
-       (Faults.make
-          [ Faults.Fail_nth { op = Some Faults.Write; n = 10; kind = Faults.Transient } ]));
+    (Faults.make
+       [ Faults.Fail_nth { op = Some Faults.Write; n = 10; kind = Faults.Transient } ]);
   scenario "mid-batch crash"
-    (Some
-       (Faults.make
-          [ Faults.Fail_nth { op = Some Faults.Write; n = 25; kind = Faults.Crash } ]));
+    (Faults.make
+       [ Faults.Fail_nth { op = Some Faults.Write; n = 25; kind = Faults.Crash } ]);
   scenario "permanent fault, degraded"
-    (Some
-       (Faults.make
-          [ Faults.Fail_nth { op = None; n = 120; kind = Faults.Permanent } ]));
+    (Faults.make
+       [ Faults.Fail_nth { op = None; n = 120; kind = Faults.Permanent } ]);
   scenario "permanent media failure"
-    (Some
-       (Faults.make
-          [ Faults.Fail_prob { op = Some Faults.Write; p = 1.0; kind = Faults.Permanent } ]));
+    (Faults.make
+       [ Faults.Fail_prob { op = Some Faults.Write; p = 1.0; kind = Faults.Permanent } ]);
   record "fault_recovery"
     (Json.Obj
        [
@@ -910,38 +885,20 @@ let extra10 () =
 
 let extra11 () =
   section "[Extra 11] Storage engine: group commit and compression";
-  let module Datagen = Vis_workload.Datagen in
   let module Warehouse = Vis_maintenance.Warehouse in
   let module Refresh = Vis_maintenance.Refresh in
+  let module Validate = Vis_maintenance.Validate in
   let module Wal = Vis_storage.Wal in
   let schema = Schemas.validation () in
   let best = (Astar.search (Problem.make schema)).Astar.best in
   let seed = 42 in
   let n_batches = 8 in
-  (* Deal one batch into conflict-free sub-batches (keys within a batch are
-     distinct, so any partition applies cleanly in stream order). *)
-  let split_batch k (b : Datagen.batch) =
-    let deal j l = List.filteri (fun i _ -> i mod k = j) l in
-    List.init k (fun j ->
-        {
-          Datagen.b_ins = Array.map (deal j) b.Datagen.b_ins;
-          b_del = Array.map (deal j) b.Datagen.b_del;
-          b_upd = Array.map (deal j) b.Datagen.b_upd;
-        })
-  in
-  let world ?(config = best) () =
-    let rng = Random.State.make [| seed |] in
-    let ds = Datagen.generate ~rng schema in
-    let w = Warehouse.build schema config ds in
-    let batch = Datagen.deltas ~rng schema ds in
-    (w, batch)
-  in
   (* Fault-free WAL overhead, tightened from extra10's 10% to 5%: group
      commit removed the per-batch sync forcing, so the protected refresh
      now pays only for the log pages themselves. *)
-  let w0, b0 = world () in
+  let w0, b0 = Validate.world ~seed schema best in
   let base_io = Refresh.total_io (Refresh.run w0 b0) in
-  let w1, b1 = world () in
+  let w1, b1 = Validate.world ~seed schema best in
   let prot_io =
     match Refresh.run_protected w1 b1 with
     | Ok (r, _) -> Refresh.total_io r
@@ -955,8 +912,8 @@ let extra11 () =
   let rows =
     List.map
       (fun max_group ->
-        let w, b = world () in
-        let batches = split_batch n_batches b in
+        let w, b = Validate.world ~seed schema best in
+        let batches = Validate.split_batch n_batches b in
         let policy = { Refresh.gp_max_group = max_group; gp_window_ms = 1e9 } in
         match Refresh.run_protected_many ~policy w batches with
         | Error _ -> failwith "fault-free group stream failed"
@@ -988,8 +945,8 @@ let extra11 () =
       (Element.Base 0 :: Element.Base 1 :: Element.Base 2
       :: [ Element.View (Vis_catalog.Schema.all_relations schema) ])
   in
-  let w_plain, _ = world () in
-  let w_comp, bc = world ~config:(compress_all best) () in
+  let w_plain, _ = Validate.world ~seed schema best in
+  let w_comp, bc = Validate.world ~seed schema (compress_all best) in
   let plain_pages = Warehouse.total_data_pages w_plain
   and comp_pages = Warehouse.total_data_pages w_comp in
   let ratio = float_of_int comp_pages /. float_of_int plain_pages in
@@ -1025,30 +982,18 @@ let extra11 () =
    scrub I/O and detection completeness. *)
 let corruption_study () =
   section "[Extra 14] Corruption: checksummed reads, scrub and rebuild";
-  let module Datagen = Vis_workload.Datagen in
   let module Warehouse = Vis_maintenance.Warehouse in
   let module Refresh = Vis_maintenance.Refresh in
-  let module Table = Vis_relalg.Table in
-  let module Buffer_pool = Vis_storage.Buffer_pool in
-  let module Heap_file = Vis_storage.Heap_file in
-  let module Btree = Vis_storage.Btree in
-  let module Faults = Vis_storage.Faults in
+  let module Validate = Vis_maintenance.Validate in
   let module Iostats = Vis_storage.Iostats in
   let schema = Schemas.validation () in
   let best = (Astar.search (Problem.make schema)).Astar.best in
   let seed = 42 in
-  let world ~checksums () =
-    let rng = Random.State.make [| seed |] in
-    let ds = Datagen.generate ~rng schema in
-    let w = Warehouse.build ~checksums schema best ds in
-    let batch = Datagen.deltas ~rng schema ds in
-    (w, batch)
-  in
   (* Fault-free detection overhead: the identical refresh with and without
      page checksums. *)
-  let w0, b0 = world ~checksums:false () in
+  let w0, b0 = Validate.world ~seed schema best in
   let base_io = Refresh.total_io (Refresh.run w0 b0) in
-  let w1, b1 = world ~checksums:true () in
+  let w1, b1 = Validate.world ~checksums:true ~seed schema best in
   let chk_io = Refresh.total_io (Refresh.run w1 b1) in
   let overhead = float_of_int (chk_io - base_io) /. float_of_int base_io in
   assert (overhead >= 0. && overhead <= 0.05);
@@ -1061,31 +1006,13 @@ let corruption_study () =
   (* Seeded at-rest damage on rebuildable pages (view heaps and all index
      nodes — base heaps have no redundant source and would refuse), then
      one self-healing scrub. *)
-  let rebuildable =
-    let heap_gids t =
-      let h = Table.heap t in
-      List.init (Heap_file.n_pages h) (Heap_file.page_gid h)
-    in
-    let index_gids t =
-      List.concat_map (fun (_, bt) -> Btree.page_gids bt) (Table.indexes t)
-    in
-    List.sort_uniq compare
-      (List.concat_map index_gids (Array.to_list w1.Warehouse.w_bases)
-      @ List.concat_map
-          (fun (_, vt) -> heap_gids vt @ index_gids vt)
-          w1.Warehouse.w_views)
+  let injected =
+    List.length
+      (Validate.damage_pages w1
+         ~rng:(Random.State.make [| seed; 0xd4 |])
+         ~n:4
+         (Array.of_list (Validate.rebuildable_gids w1)))
   in
-  let targets = Array.of_list rebuildable in
-  let hits =
-    Faults.random_damage ~n:4
-      ~rng:(Random.State.make [| seed; 0xd4 |])
-      ~targets:(Array.length targets) ()
-  in
-  List.iter
-    (fun (way, pick, sel) ->
-      Buffer_pool.corrupt_page w1.Warehouse.w_pool targets.(pick) way sel)
-    hits;
-  let injected = List.length hits in
   Warehouse.reset_stats w1;
   let repair = Warehouse.scrub ~fail_unrecoverable:false w1 in
   let repair_io = Iostats.total_io w1.Warehouse.w_stats in

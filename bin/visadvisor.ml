@@ -538,9 +538,14 @@ let validate_cmd =
     let p = Problem.make schema in
     let r = Vis_core.Astar.search p in
     let best = r.Vis_core.Astar.best in
-    let report, checks = Vis_maintenance.Validate.run_cycle ~seed schema best in
     let module R = Vis_maintenance.Refresh in
     let module V = Vis_maintenance.Validate in
+    let module W = Vis_maintenance.Warehouse in
+    (* The validation refresh; its end state is also the fault trials'
+       fault-free reference. *)
+    let w_ref, batch = V.world ~seed schema best in
+    let report = R.run w_ref batch in
+    let checks = V.check_views w_ref in
     let refresh = R.report_json report in
     let views =
       Json.List
@@ -574,93 +579,56 @@ let validate_cmd =
       end;
       print_string (T.of_json ~title:"views" views)
     end;
-    let ok = ref (Vis_maintenance.Validate.all_ok checks) in
+    let ok = ref (V.all_ok checks) in
     if faults > 0 then begin
-      let module Datagen = Vis_workload.Datagen in
-      let module Warehouse = Vis_maintenance.Warehouse in
-      let module Refresh = Vis_maintenance.Refresh in
-      let module Faults = Vis_storage.Faults in
-      (* The same world [run_cycle] built, reconstructible on demand. *)
-      let world () =
-        let rng = Random.State.make [| seed |] in
-        let ds = Datagen.generate ~rng schema in
-        let w = Warehouse.build schema best ds in
-        let batch = Datagen.deltas ~rng schema ds in
-        (w, batch)
-      in
-      let w_ref, batch_ref = world () in
-      ignore (Refresh.run w_ref batch_ref);
-      let physical_ref = Warehouse.signature w_ref in
-      let logical_ref = Warehouse.logical_signature w_ref in
+      let reference = V.reference w_ref in
       for trial = 1 to faults do
-        let w, batch = world () in
-        let pre = Warehouse.signature w in
+        let w, batch = V.world ~seed schema best in
         let plan =
-          Faults.random ~rng:(Random.State.make [| fault_seed; trial |]) ()
+          Vis_storage.Faults.random
+            ~rng:(Random.State.make [| fault_seed; trial |])
+            ()
         in
-        let verdict, stats =
-          match Refresh.run_protected ~faults:plan w batch with
-          | Ok (_, fs) ->
-              let v =
-                if fs.Refresh.fs_degraded then
-                  if Warehouse.logical_signature w = logical_ref then
-                    "degraded, logically exact"
-                  else begin ok := false; "DEGRADED VIEW MISMATCH" end
-                else if Warehouse.signature w = physical_ref then
-                  "recovered bit-identical"
-                else begin ok := false; "RECOVERED STATE MISMATCH" end
-              in
-              (v, fs)
-          | Error e ->
-              let v =
-                if Warehouse.signature w = pre then
-                  Format.asprintf "rolled back cleanly (%a)" Faults.pp_fault
-                    e.Refresh.err_fault
-                else begin ok := false; "ROLLBACK MISMATCH" end
-              in
-              (v, e.Refresh.err_stats)
-        in
-        (match Warehouse.integrity_check w with
-        | Ok () -> ()
-        | Error m ->
-            ok := false;
-            Printf.printf "fault trial %2d: INTEGRITY: %s\n" trial m);
+        let t = V.refresh_trial reference ~faults:plan w batch in
+        let s = t.V.tr_stats in
+        if not (V.verdict_ok t.V.tr_verdict) then ok := false;
         Printf.printf
           "fault trial %2d: attempts %d, injected %d, retries %d (backoff \
-           %.1fms), rollbacks %d, undone %d, wal %d rec/%d pages — %s\n"
-          trial stats.Refresh.fs_attempts stats.Refresh.fs_injected
-          stats.Refresh.fs_retries stats.Refresh.fs_backoff_ms
-          stats.Refresh.fs_rollbacks stats.Refresh.fs_undone
-          stats.Refresh.fs_wal_records stats.Refresh.fs_wal_pages verdict
+           %.1fms), rollbacks %d, undone %d, wal %d rec/%d pages — %s%s\n"
+          trial s.R.fs_attempts s.R.fs_injected s.R.fs_retries
+          s.R.fs_backoff_ms s.R.fs_rollbacks s.R.fs_undone s.R.fs_wal_records
+          s.R.fs_wal_pages
+          (V.verdict_name t.V.tr_verdict)
+          (match t.V.tr_result with
+          | Error e ->
+              Format.asprintf " (%a)" Vis_storage.Faults.pp_fault
+                e.R.err_fault
+          | Ok _ -> "")
       done
     end;
     if scrub then begin
-      let module W = Vis_maintenance.Warehouse in
-      let c = Vis_maintenance.Validate.scrub_cycle ~seed ~damage schema best in
-      let r = c.Vis_maintenance.Validate.sk_report in
-      let detected_all = r.W.sc_corrupt = c.Vis_maintenance.Validate.sk_injected in
+      let c = V.scrub_cycle ~seed ~damage schema best in
+      let r = c.V.sk_report in
+      let detected_all = r.W.sc_corrupt = c.V.sk_injected in
       Printf.printf
         "scrub: injected %d, scanned %d, convicted %d, views rebuilt %d, \
          indexes rebuilt %d, unrecoverable %d — %s\n"
-        c.Vis_maintenance.Validate.sk_injected r.W.sc_scanned r.W.sc_corrupt
-        r.W.sc_views_rebuilt r.W.sc_indexes_rebuilt
+        c.V.sk_injected r.W.sc_scanned r.W.sc_corrupt r.W.sc_views_rebuilt
+        r.W.sc_indexes_rebuilt
         (List.length r.W.sc_unrecoverable)
-        (if
-           detected_all
-           && c.Vis_maintenance.Validate.sk_views_ok
-           && c.Vis_maintenance.Validate.sk_integrity_ok
-         then "repaired, views exact"
+        (if detected_all && c.V.sk_views_ok && c.V.sk_integrity_ok then
+           "repaired, views exact"
          else "SCRUB FAILURE");
       if not detected_all then begin
         ok := false;
         Printf.printf "scrub: DETECTION MISS (%d of %d damaged pages)\n"
-          r.W.sc_corrupt c.Vis_maintenance.Validate.sk_injected
+          r.W.sc_corrupt c.V.sk_injected
       end;
-      if not c.Vis_maintenance.Validate.sk_views_ok then begin
+      if not c.V.sk_views_ok then begin
         ok := false;
         print_endline "scrub: POST-REPAIR VIEW MISMATCH"
       end;
-      if not c.Vis_maintenance.Validate.sk_integrity_ok then begin
+      if not c.V.sk_integrity_ok then begin
         ok := false;
         print_endline "scrub: POST-REPAIR INTEGRITY FAILURE"
       end

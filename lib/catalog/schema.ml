@@ -151,12 +151,6 @@ let joins_within t set =
     (fun j -> Bitset.mem j.left_rel set && Bitset.mem j.right_rel set)
     t.joins
 
-let joins_crossing t set =
-  List.filter
-    (fun j ->
-      Bitset.mem j.left_rel set <> Bitset.mem j.right_rel set)
-    t.joins
-
 let connected t set =
   if Bitset.is_empty set then true
   else begin

@@ -97,9 +97,6 @@ val selection_attrs : t -> int -> string list
 (** [joins_within s set] is the joins with both ends in [set]. *)
 val joins_within : t -> Vis_util.Bitset.t -> join list
 
-(** [joins_crossing s set] is the joins with exactly one end in [set]. *)
-val joins_crossing : t -> Vis_util.Bitset.t -> join list
-
 (** [connected s set] tells whether [set] induces a connected subgraph of the
     join graph (singletons are connected). *)
 val connected : t -> Vis_util.Bitset.t -> bool

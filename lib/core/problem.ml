@@ -213,13 +213,6 @@ let evaluator p config =
 
 let total p config = Cost.total (evaluator p config)
 
-let feature_space p = function
-  | F_view w -> Derived.view_pages p.derived w
-  | F_index ix -> (Element.index_shape p.derived ix).Derived.ix_pages
-  (* Compression consumes no extra pages (it frees some); the space
-     constraint never excludes it. *)
-  | F_compress _ -> 0.
-
 let feature_name p = function
   | F_view w -> Element.name p.schema (Element.View w)
   | F_index ix -> Element.index_name p.schema ix

@@ -122,9 +122,6 @@ val evaluator : t -> Vis_costmodel.Config.t -> Vis_costmodel.Cost.t
 (** [total p config] is the total maintenance cost of [config]. *)
 val total : t -> Vis_costmodel.Config.t -> float
 
-(** [feature_space p f] is the storage footprint of a feature, in pages. *)
-val feature_space : t -> feature -> float
-
 val feature_name : t -> feature -> string
 
 val equal_feature : feature -> feature -> bool

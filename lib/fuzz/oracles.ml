@@ -496,6 +496,15 @@ let executable_blockers cx schema =
   then Some "tuple_bytes disagrees with the engine's attribute width"
   else None
 
+(* The fault oracles' rounds: [one round] for each of the context's fault
+   rounds, stopping at the first outcome that is not a pass. *)
+let fault_rounds cx one =
+  let rec go round =
+    if round >= cx.cx_fault_rounds then Pass
+    else match one round with Pass -> go (round + 1) | r -> r
+  in
+  go 0
+
 let check_maintenance_cycle cx schema =
   match executable_blockers cx schema with
   | Some reason -> Skip reason
@@ -675,63 +684,40 @@ let check_crash_recovery cx schema =
          about. *)
       let config = (Greedy.search p).Greedy.best in
       let data_seed = Random.State.int cx.cx_rng 1_000_000 in
-      (* Identical worlds on demand: a fresh warehouse plus the batch to
-         apply, both a pure function of [data_seed]. *)
-      let world () =
-        let rng = Random.State.make [| data_seed |] in
-        let ds = Datagen.generate ~rng schema in
-        let w = Warehouse.build schema config ds in
-        let batch = Datagen.deltas ~rng schema ds in
-        (w, batch)
-      in
+      let world () = Validate.world ~seed:data_seed schema config in
       match world () with
       | exception Datagen.Unsupported msg -> skip "datagen: %s" msg
       | w_ref, batch_ref ->
-          let _ = Refresh.run w_ref batch_ref in
-          let physical_ref = Warehouse.signature w_ref in
-          let logical_ref = Warehouse.logical_signature w_ref in
-          let checked round w outcome =
-            match Warehouse.integrity_check w with
-            | Error m -> fail "round %d: storage integrity broken: %s" round m
-            | Ok () -> outcome
-          in
-          let one round =
-            let w, batch = world () in
-            let pre = Warehouse.signature w in
-            let plan_rng =
-              Random.State.make
-                [| Random.State.bits cx.cx_rng; cx.cx_fault_seed; round |]
-            in
-            let plan = Faults.random ~rng:plan_rng () in
-            match Refresh.run_protected ~faults:plan w batch with
-            | Ok (_, fs) when fs.Refresh.fs_degraded ->
-                if Warehouse.logical_signature w <> logical_ref then
+          ignore (Refresh.run w_ref batch_ref);
+          let reference = Validate.reference w_ref in
+          fault_rounds cx (fun round ->
+              let w, batch = world () in
+              let plan_rng =
+                Random.State.make
+                  [| Random.State.bits cx.cx_rng; cx.cx_fault_seed; round |]
+              in
+              let plan = Faults.random ~rng:plan_rng () in
+              let t = Validate.refresh_trial reference ~faults:plan w batch in
+              match (t.Validate.tr_verdict, t.Validate.tr_result) with
+              | v, _ when Validate.verdict_ok v -> Pass
+              | Validate.Integrity_broken m, _ ->
+                  fail "round %d: storage integrity broken: %s" round m
+              | _, Ok (_, fs) when fs.Refresh.fs_degraded ->
                   fail
                     "round %d: degraded refresh (%d rows recomputed) is not \
                      logically identical to the fault-free run"
                     round fs.Refresh.fs_recomputed_rows
-                else checked round w Pass
-            | Ok (_, fs) ->
-                if Warehouse.signature w <> physical_ref then
+              | _, Ok (_, fs) ->
                   fail
                     "round %d: recovered state (%d attempts, %d injected) \
                      differs bit-for-bit from the fault-free refresh"
                     round fs.Refresh.fs_attempts fs.Refresh.fs_injected
-                else checked round w Pass
-            | Error e ->
-                if Warehouse.signature w <> pre then
+              | _, Error e ->
                   fail
                     "round %d: failed batch (%s) did not roll back to the \
                      pre-batch state"
                     round
-                    (Format.asprintf "%a" Faults.pp_fault e.Refresh.err_fault)
-                else checked round w Pass
-          in
-          let rec go round =
-            if round >= cx.cx_fault_rounds then Pass
-            else match one round with Pass -> go (round + 1) | r -> r
-          in
-          go 0)
+                    (Format.asprintf "%a" Faults.pp_fault e.Refresh.err_fault)))
 
 (* ------------------------------------------------------------------ *)
 (* Group-commit stream under faults, on a compressed design (PR 7): a
@@ -743,17 +729,6 @@ let check_crash_recovery cx schema =
    the WAL's before-images and the denser heap layout are exercised
    together. *)
 
-(* Deal one batch into [k] conflict-free sub-batches (keys within a batch
-   are distinct, so any partition applies cleanly in stream order). *)
-let split_batch k (b : Datagen.batch) =
-  let deal j l = List.filteri (fun i _ -> i mod k = j) l in
-  List.init k (fun j ->
-      {
-        Datagen.b_ins = Array.map (deal j) b.Datagen.b_ins;
-        b_del = Array.map (deal j) b.Datagen.b_del;
-        b_upd = Array.map (deal j) b.Datagen.b_upd;
-      })
-
 let check_group_commit_recovery cx schema =
   match executable_blockers cx schema with
   | Some reason -> Skip reason
@@ -762,11 +737,8 @@ let check_group_commit_recovery cx schema =
       let config = (Greedy.search p).Greedy.best in
       let data_seed = Random.State.int cx.cx_rng 1_000_000 in
       let world () =
-        let rng = Random.State.make [| data_seed |] in
-        let ds = Datagen.generate ~rng schema in
-        let w = Warehouse.build schema config ds in
-        let batches = split_batch 4 (Datagen.deltas ~rng schema ds) in
-        (w, batches)
+        let w, batch = Validate.world ~seed:data_seed schema config in
+        (w, Validate.split_batch 4 batch)
       in
       match world () with
       | exception Datagen.Unsupported msg -> skip "datagen: %s" msg
@@ -781,51 +753,39 @@ let check_group_commit_recovery cx schema =
                   "group commit did not reduce syncs: %d syncs for %d batches"
                   r_ref.Refresh.rp_wal_syncs g_ref.Refresh.gr_batches
               else
-                let physical_ref = Warehouse.signature w_ref in
-                let logical_ref = Warehouse.logical_signature w_ref in
-                let checked round w outcome =
-                  match Warehouse.integrity_check w with
-                  | Error m ->
-                      fail "round %d: storage integrity broken: %s" round m
-                  | Ok () -> outcome
-                in
-                let one round =
-                  let w, batches = world () in
-                  let plan_rng =
-                    Random.State.make
-                      [|
-                        Random.State.bits cx.cx_rng; cx.cx_fault_seed;
-                        round; 7;
-                      |]
-                  in
-                  let plan = Faults.random ~rng:plan_rng () in
-                  match Refresh.run_protected_many ~faults:plan w batches with
-                  | Ok (_, fs, _) when fs.Refresh.fs_degraded ->
-                      if Warehouse.logical_signature w <> logical_ref then
+                let reference = Validate.reference w_ref in
+                fault_rounds cx (fun round ->
+                    let w, batches = world () in
+                    let plan_rng =
+                      Random.State.make
+                        [|
+                          Random.State.bits cx.cx_rng; cx.cx_fault_seed;
+                          round; 7;
+                        |]
+                    in
+                    let plan = Faults.random ~rng:plan_rng () in
+                    let t =
+                      Validate.stream_trial reference ~faults:plan w batches
+                    in
+                    match (t.Validate.tr_verdict, t.Validate.tr_result) with
+                    | v, _ when Validate.verdict_ok v -> Pass
+                    | Validate.Integrity_broken m, _ ->
+                        fail "round %d: storage integrity broken: %s" round m
+                    | _, Ok (_, fs, _) when fs.Refresh.fs_degraded ->
                         fail
                           "round %d: degraded group stream is not logically \
                            identical to the fault-free stream"
                           round
-                      else checked round w Pass
-                  | Ok (_, fs, g) ->
-                      if Warehouse.signature w <> physical_ref then
+                    | _, Ok (_, fs, g) ->
                         fail
                           "round %d: recovered stream (%d attempts, %d \
                            injected, %d replayed) differs bit-for-bit from \
                            the fault-free stream"
                           round fs.Refresh.fs_attempts fs.Refresh.fs_injected
                           g.Refresh.gr_replayed
-                      else checked round w Pass
-                  | Error _ ->
-                      (* Durable prefixes legitimately survive a failed
-                         stream; integrity is the invariant here. *)
-                      checked round w Pass
-                in
-                let rec go round =
-                  if round >= cx.cx_fault_rounds then Pass
-                  else match one round with Pass -> go (round + 1) | r -> r
-                in
-                go 0))
+                    | _, Error _ ->
+                        fail "round %d: %s" round
+                          (Validate.verdict_name t.Validate.tr_verdict))))
 
 (* ------------------------------------------------------------------ *)
 (* Workload-driven candidate mining (the querygen → miner → restricted
@@ -1041,11 +1001,7 @@ let check_corruption_recovery cx schema =
       let config = (Greedy.search p).Greedy.best in
       let data_seed = Random.State.int cx.cx_rng 1_000_000 in
       let world () =
-        let rng = Random.State.make [| data_seed |] in
-        let ds = Datagen.generate ~rng schema in
-        let w = Warehouse.build ~checksums:true schema config ds in
-        let batch = Datagen.deltas ~rng schema ds in
-        (w, batch)
+        Validate.world ~checksums:true ~seed:data_seed schema config
       in
       match world () with
       | exception Datagen.Unsupported msg -> skip "datagen: %s" msg
@@ -1092,22 +1048,10 @@ let check_corruption_recovery cx schema =
             let w, batch = world () in
             ignore (Refresh.run w batch);
             Buffer_pool.flush w.Warehouse.w_pool;
-            let targets =
-              Array.of_list (Buffer_pool.protected_gids w.Warehouse.w_pool)
-            in
-            let hits =
-              Faults.random_damage ~n:3 ~rng:(Random.State.make seeds)
-                ~targets:(Array.length targets) ()
-            in
             let damaged =
-              List.sort_uniq compare
-                (List.map (fun (_, pick, _) -> targets.(pick)) hits)
+              Validate.damage_pages w ~rng:(Random.State.make seeds) ~n:3
+                (Array.of_list (Buffer_pool.protected_gids w.Warehouse.w_pool))
             in
-            List.iter
-              (fun (way, pick, sel) ->
-                Buffer_pool.corrupt_page w.Warehouse.w_pool targets.(pick) way
-                  sel)
-              hits;
             (* Classify before the scrub: repair swaps rebuilt tables in,
                orphaning the damaged pages' gids. *)
             let kinds = List.map (fun g -> (g, classify w g)) damaged in
@@ -1214,10 +1158,6 @@ let check_corruption_recovery cx schema =
                     else Pass
               end
           in
-          let rec go round =
-            if round >= cx.cx_fault_rounds then Pass
-            else match one round with Pass -> go (round + 1) | r -> r
-          in
           (* The WAL's record-CRC envelope, on a live uncommitted batch. *)
           let wal_legs () =
             (* Torn tail: the newest appends never reached the disk image;
@@ -1278,7 +1218,7 @@ let check_corruption_recovery cx schema =
                 fail "verify_scan did not report the torn tail (%d entries)"
                   torn
           in
-          (match go 0 with Pass -> wal_legs () | r -> r))
+          (match fault_rounds cx one with Pass -> wal_legs () | r -> r))
 
 (* ------------------------------------------------------------------ *)
 

@@ -4,6 +4,11 @@ module Element = Vis_costmodel.Element
 module Table = Vis_relalg.Table
 module Exec = Vis_relalg.Exec
 module Datagen = Vis_workload.Datagen
+module Faults = Vis_storage.Faults
+module Buffer_pool = Vis_storage.Buffer_pool
+module Heap_file = Vis_storage.Heap_file
+module Btree = Vis_storage.Btree
+module Iostats = Vis_storage.Iostats
 
 type view_check = {
   vc_view : string;
@@ -47,28 +52,112 @@ let check_views w =
 
 let all_ok checks = List.for_all (fun c -> c.vc_ok) checks
 
-let run_cycle ?(seed = 42) schema config =
+let world ?(checksums = false) ~seed schema config =
   let rng = Random.State.make [| seed |] in
   let dataset = Datagen.generate ~rng schema in
-  let warehouse = Warehouse.build schema config dataset in
-  let batch = Datagen.deltas ~rng schema dataset in
-  let report = Refresh.run warehouse batch in
-  let checks = check_views warehouse in
-  (report, checks)
+  let w = Warehouse.build ~checksums schema config dataset in
+  (w, Datagen.deltas ~rng schema dataset)
 
-type scrub_check = {
-  sk_injected : int;  (* distinct pages damaged *)
-  sk_report : Warehouse.scrub_report;
-  sk_views_ok : bool;  (* post-repair view contents re-verified *)
-  sk_integrity_ok : bool;
+let split_batch k (b : Datagen.batch) =
+  let deal j l = List.filteri (fun i _ -> i mod k = j) l in
+  List.init k (fun j ->
+      {
+        Datagen.b_ins = Array.map (deal j) b.Datagen.b_ins;
+        b_del = Array.map (deal j) b.Datagen.b_del;
+        b_upd = Array.map (deal j) b.Datagen.b_upd;
+      })
+
+let run_cycle ?(seed = 42) schema config =
+  let w, batch = world ~seed schema config in
+  let report = Refresh.run w batch in
+  (report, check_views w)
+
+type reference = { rf_physical : string; rf_logical : string }
+
+let reference w =
+  {
+    rf_physical = Warehouse.signature w;
+    rf_logical = Warehouse.logical_signature w;
+  }
+
+type verdict =
+  | Bit_identical
+  | Logically_exact
+  | Rolled_back
+  | Failed_intact
+  | State_mismatch
+  | Degraded_mismatch
+  | Rollback_mismatch
+  | Integrity_broken of string
+
+let verdict_ok = function
+  | Bit_identical | Logically_exact | Rolled_back | Failed_intact -> true
+  | _ -> false
+
+let verdict_name = function
+  | Bit_identical -> "bit-identical"
+  | Logically_exact -> "degraded, logically exact"
+  | Rolled_back -> "rolled back to pre-batch"
+  | Failed_intact -> "failed, storage intact"
+  | State_mismatch -> "STATE MISMATCH"
+  | Degraded_mismatch -> "DEGRADED MISMATCH"
+  | Rollback_mismatch -> "ROLLBACK MISMATCH"
+  | Integrity_broken m -> "INTEGRITY BROKEN: " ^ m
+
+type 'a trial = {
+  tr_result : ('a, Refresh.error) result;
+  tr_stats : Refresh.fault_stats;
+  tr_io : int;
+  tr_verdict : verdict;
 }
+
+(* The shared tail of both trials: count the refresh's I/O before any
+   signature scan adds to it, judge a completed refresh against the
+   reference and a failed one with [on_error], then require integrity of
+   every state whose signatures agreed. *)
+let judge reference w result ~stats ~on_error =
+  let io = Iostats.total_io w.Warehouse.w_stats in
+  let tr_stats, verdict =
+    match result with
+    | Ok ok ->
+        let fs = stats ok in
+        ( fs,
+          if fs.Refresh.fs_degraded then
+            if Warehouse.logical_signature w = reference.rf_logical then
+              Logically_exact
+            else Degraded_mismatch
+          else if Warehouse.signature w = reference.rf_physical then
+            Bit_identical
+          else State_mismatch )
+    | Error e -> (e.Refresh.err_stats, on_error ())
+  in
+  let verdict =
+    if not (verdict_ok verdict) then verdict
+    else
+      match Warehouse.integrity_check w with
+      | Ok () -> verdict
+      | Error m -> Integrity_broken m
+  in
+  { tr_result = result; tr_stats; tr_io = io; tr_verdict = verdict }
+
+let refresh_trial reference ~faults w batch =
+  let pre = Warehouse.signature w in
+  judge reference w
+    (Refresh.run_protected ~faults w batch)
+    ~stats:snd
+    ~on_error:(fun () ->
+      if Warehouse.signature w = pre then Rolled_back else Rollback_mismatch)
+
+let stream_trial reference ~faults w batches =
+  judge reference w
+    (Refresh.run_protected_many ~faults w batches)
+    ~stats:(fun (_, fs, _) -> fs)
+    ~on_error:(fun () -> Failed_intact)
 
 (* Every page rebuildable from base relations: view heap pages plus every
    index node (indexes on bases rebuild from their heaps).  Base heap
    pages are excluded — damaging those is unrecoverable by design. *)
 let rebuildable_gids w =
-  let module Heap_file = Vis_storage.Heap_file in
-  let module Btree = Vis_storage.Btree in
   let heap_gids tbl =
     let h = Table.heap tbl in
     List.init (Heap_file.n_pages h) (Heap_file.page_gid h)
@@ -86,27 +175,36 @@ let rebuildable_gids w =
   in
   List.sort_uniq compare (base_ix @ views)
 
-let scrub_cycle ?(seed = 42) ?(damage = 3) schema config =
-  let rng = Random.State.make [| seed |] in
-  let dataset = Datagen.generate ~rng schema in
-  let w = Warehouse.build ~checksums:true schema config dataset in
-  let batch = Datagen.deltas ~rng schema dataset in
-  ignore (Refresh.run w batch);
-  let targets = Array.of_list (rebuildable_gids w) in
+let damage_pages w ~rng ~n targets =
   let hits =
-    Vis_storage.Faults.random_damage ~n:damage
-      ~rng:(Random.State.make [| seed; 0x5c2b |])
-      ~targets:(Array.length targets) ()
+    Faults.random_damage ~n ~rng ~targets:(Array.length targets) ()
   in
   List.iter
     (fun (way, pick, sel) ->
-      Vis_storage.Buffer_pool.corrupt_page w.Warehouse.w_pool targets.(pick)
-        way sel)
+      Buffer_pool.corrupt_page w.Warehouse.w_pool targets.(pick) way sel)
     hits;
+  List.sort compare (List.map (fun (_, pick, _) -> targets.(pick)) hits)
+
+type scrub_check = {
+  sk_injected : int;  (* distinct pages damaged *)
+  sk_report : Warehouse.scrub_report;
+  sk_views_ok : bool;  (* post-repair view contents re-verified *)
+  sk_integrity_ok : bool;
+}
+
+let scrub_cycle ?(seed = 42) ?(damage = 3) schema config =
+  let w, batch = world ~checksums:true ~seed schema config in
+  ignore (Refresh.run w batch);
+  let damaged =
+    damage_pages w
+      ~rng:(Random.State.make [| seed; 0x5c2b |])
+      ~n:damage
+      (Array.of_list (rebuildable_gids w))
+  in
   let report = Warehouse.scrub ~fail_unrecoverable:false w in
   let checks = check_views w in
   {
-    sk_injected = List.length hits;
+    sk_injected = List.length damaged;
     sk_report = report;
     sk_views_ok = all_ok checks;
     sk_integrity_ok = Result.is_ok (Warehouse.integrity_check w);

@@ -138,7 +138,8 @@ type t = {
   cfg : config;
   pool : Parallel.pool;
   mutable tenants : tenant list;  (* live, ascending id *)
-  mutable retired : tenant_stats list;
+  mutable retired : tenant_stats option;
+      (* every removed tenant folded into one record, see [remove_tenant] *)
   mutable next_id : int;
   mutable ticks : int;
 }
@@ -152,7 +153,7 @@ let create ?(config = default_config) () =
     cfg = config;
     pool = Parallel.create ~jobs:config.sv_jobs ();
     tenants = [];
-    retired = [];
+    retired = None;
     next_id = 0;
     ticks = 0;
   }
@@ -299,12 +300,6 @@ let signature t id = Warehouse.signature (find t id).tn_warehouse
 let logical_signature t id =
   Warehouse.logical_signature (find t id).tn_warehouse
 
-let table_rows tbl =
-  let acc = ref [] in
-  Vis_storage.Heap_file.scan (Vis_relalg.Table.heap tbl) ~f:(fun _rid tuple ->
-      acc := tuple :: !acc);
-  List.rev !acc
-
 let core_digest t id =
   let w = (find t id).tn_warehouse in
   let buf = Buffer.create 4096 in
@@ -318,7 +313,7 @@ let core_digest t id =
             Buffer.add_char buf ',')
           tuple;
         Buffer.add_char buf ';')
-      (List.sort compare (table_rows tbl))
+      (List.sort compare (Vis_relalg.Exec.scan tbl ()))
   in
   Array.iteri
     (fun i tbl -> add_table (Printf.sprintf "base%d:" i) tbl)
@@ -335,18 +330,48 @@ let remove_tenant t id =
   let tn = find t id in
   let s = snapshot tn in
   t.tenants <- List.filter (fun tn -> tn.tn_id <> id) t.tenants;
-  t.retired <- s :: t.retired;
+  (* Fold the tenant into the retired record — the counters [totals] sums,
+     and the merged latency record — so retired tenants cost constant
+     space.  The other fields stay the first retired tenant's. *)
+  t.retired <-
+    Some
+      (match t.retired with
+      | None -> s
+      | Some r ->
+          {
+            r with
+            ts_batches = r.ts_batches + s.ts_batches;
+            ts_rows = r.ts_rows + s.ts_rows;
+            ts_failed = r.ts_failed + s.ts_failed;
+            ts_reopts = r.ts_reopts + s.ts_reopts;
+            ts_swaps = r.ts_swaps + s.ts_swaps;
+            ts_scrubs = r.ts_scrubs + s.ts_scrubs;
+            ts_scrub_corrupt = r.ts_scrub_corrupt + s.ts_scrub_corrupt;
+            ts_scrub_rebuilt = r.ts_scrub_rebuilt + s.ts_scrub_rebuilt;
+            ts_latencies_ms =
+              List.fold_right add_latency s.ts_latencies_ms r.ts_latencies_ms;
+          });
   s
 
 (* Resynchronize the logical mirror from the stored bases after a failed
    group run: a durable prefix legitimately survives an [Error] stream, so
    the optimistic mirror (all batches applied) is re-read from the engine.
-   Heap scan order is key-ascending — initial load and every insert append
-   in key order; deletes only leave gaps — so the mirror invariant holds.
-   [ds_next_key] keeps its high-water mark: rolled-back inserts burnt their
-   keys, and reusing a key could collide with a later replay. *)
+   Heap scan order is not key order — an insert backfills the lowest free
+   slot a delete left on an earlier page — so each relation's rows are
+   sorted by key, restoring the mirror's key-order invariant that the next
+   swap rebuild loads in.  [ds_next_key] keeps its high-water mark:
+   rolled-back inserts burnt their keys, and reusing a key could collide
+   with a later replay. *)
 let resync_mirror tn =
-  let tuples = Array.map table_rows tn.tn_warehouse.Warehouse.w_bases in
+  let tuples =
+    Array.mapi
+      (fun rel tbl ->
+        let kp = Datagen.key_pos tn.tn_schema rel in
+        List.sort
+          (fun a b -> Int.compare a.(kp) b.(kp))
+          (Vis_relalg.Exec.scan tbl ()))
+      tn.tn_warehouse.Warehouse.w_bases
+  in
   tn.tn_dataset <-
     {
       Datagen.ds_tuples = tuples;
@@ -547,8 +572,7 @@ let percentile ~p hist =
   walk 0 hist
 
 let totals t =
-  let live = List.map snapshot t.tenants in
-  let all = live @ t.retired in
+  let all = Option.to_list t.retired @ List.map snapshot t.tenants in
   let sum f = List.fold_left (fun acc s -> acc + f s) 0 all in
   let latencies =
     List.fold_left

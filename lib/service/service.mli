@@ -169,8 +169,9 @@ val add_tenant :
   int
 
 (** [remove_tenant t id] tears the tenant down and returns its final
-    counters (also kept for {!totals}).  Raises [Not_found] on an unknown
-    or already-removed id. *)
+    counters.  {!totals} keeps only their sum over all removed tenants, so
+    the daemon's footprint does not grow with churn.  Raises [Not_found]
+    on an unknown or already-removed id. *)
 val remove_tenant : t -> int -> tenant_stats
 
 val n_tenants : t -> int

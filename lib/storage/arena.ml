@@ -26,8 +26,6 @@ let create ?(initial_words = 1024) () =
   if initial_words < 1 then invalid_arg "Arena.create";
   { data = alloc_words initial_words; used = 0 }
 
-let capacity_words t = Bigarray.Array1.dim t.data
-
 let used_words t = t.used
 
 (* Doubling growth; the old block is blitted once and becomes garbage for

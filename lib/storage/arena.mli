@@ -16,8 +16,6 @@ type t
 
 val create : ?initial_words:int -> unit -> t
 
-val capacity_words : t -> int
-
 val used_words : t -> int
 
 (** [alloc t n] hands out a zero-filled block of [n] words, returning its

@@ -327,10 +327,6 @@ let kind_name = function
   | Crash -> "crash"
   | Permanent -> "permanent"
 
-let corruption_name = function
-  | Bit_flip -> "bit-flip"
-  | Torn_write -> "torn-write"
-
 let pp_fault ppf f =
   Format.fprintf ppf "%s %s on page %d at op #%d (%d retries)"
     (kind_name f.f_kind) (op_name f.f_op) f.f_page f.f_seq f.f_retries

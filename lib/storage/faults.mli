@@ -175,5 +175,3 @@ val pp_fault : Format.formatter -> fault -> unit
 val op_name : op -> string
 
 val kind_name : kind -> string
-
-val corruption_name : corruption -> string

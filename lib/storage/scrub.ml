@@ -20,7 +20,3 @@ let sweep pool =
     sr_clean = List.length gids - List.length corrupt;
     sr_corrupt = corrupt;
   }
-
-let pp ppf r =
-  Format.fprintf ppf "scanned=%d clean=%d corrupt=%d" r.sr_scanned r.sr_clean
-    (List.length r.sr_corrupt)

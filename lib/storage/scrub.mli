@@ -17,5 +17,3 @@ type report = {
 }
 
 val sweep : Buffer_pool.t -> report
-
-val pp : Format.formatter -> report -> unit

@@ -50,7 +50,6 @@ type t = {
   mutable t_total_records : int;
   mutable t_total_pages : int;
   mutable t_total_bytes : int;
-  mutable t_total_syncs : int;
 }
 
 let word = 8
@@ -105,7 +104,6 @@ let create pool ~page_bytes =
     t_total_records = 0;
     t_total_pages = 0;
     t_total_bytes = 0;
-    t_total_syncs = 0;
   }
 
 let tail t = match t.pages with [] -> None | gid :: _ -> Some gid
@@ -182,7 +180,6 @@ let sync t =
      is only counted) once the force actually happened. *)
   (match tail t with Some gid -> Buffer_pool.write_back t.pool gid | None -> ());
   t.synced <- t.n_records;
-  t.t_total_syncs <- t.t_total_syncs + 1;
   Iostats.record_wal_sync (Buffer_pool.stats t.pool)
 
 let checkpoint t =
@@ -228,8 +225,6 @@ let unfinished t =
    anything but a durable Commit (durable prefixes end at a Commit because
    checkpoints only run on fully-durable logs). *)
 let in_flight t = t.n_records > 0 && not (committed t)
-
-let n_unsynced t = t.n_records - t.synced
 
 (* Classify the log's damage, positionally.  A {e torn tail} is a
    contiguous suffix of half-persisted records, all strictly after the last
@@ -313,5 +308,3 @@ let total_records t = t.t_total_records
 let total_pages t = t.t_total_pages
 
 let total_bytes t = t.t_total_bytes
-
-let total_syncs t = t.t_total_syncs

@@ -16,11 +16,10 @@
     - {e checkpoint once durable}: the log truncates only when every record
       in it is covered by a sync.
 
-    Durability is a sequence-number high-water mark ({!n_unsynced} exposes
-    the gap), so several batches can commit back to back and one [sync]
-    makes them all durable — group commit.  {!unfinished} returns every
-    record after the last {e durable} commit, newest first, for strict
-    cross-batch LIFO undo. *)
+    Durability is a sequence-number high-water mark, so several batches
+    can commit back to back and one [sync] makes them all durable — group
+    commit.  {!unfinished} returns every record after the last {e durable}
+    commit, newest first, for strict cross-batch LIFO undo. *)
 
 type record =
   | Begin
@@ -81,10 +80,6 @@ val unfinished : t -> record list
 (** Whether any record sits after the last durable [Commit]. *)
 val in_flight : t -> bool
 
-(** Records appended since the last successful [sync] — the group-commit
-    backlog one sync would make durable. *)
-val n_unsynced : t -> int
-
 (** Buffer-pool page ids currently holding the log, newest first — recovery
     touches them to charge its log reads. *)
 val page_gids : t -> int list
@@ -100,9 +95,6 @@ val total_pages : t -> int
 
 (** Log bytes appended over the log's lifetime. *)
 val total_bytes : t -> int
-
-(** Successful [sync] calls over the log's lifetime. *)
-val total_syncs : t -> int
 
 val record_bytes : record -> int
 

@@ -4,10 +4,7 @@ let ceil_div a b =
 
 let fceil x = if x <= 0. then 0. else Float.round (Float.ceil x)
 
-let clamp ~lo ~hi x = Float.max lo (Float.min hi x)
-
 let approx_equal ?(eps = 1e-9) a b =
   let scale = Float.max 1e-9 (Float.max (Float.abs a) (Float.abs b)) in
   Float.abs (a -. b) <= eps *. scale +. 1e-9
 
-let log_base b x = log x /. log b

@@ -7,12 +7,6 @@ val ceil_div : int -> int -> int
     the cost model never produces negative page counts. *)
 val fceil : float -> float
 
-(** [clamp ~lo ~hi x]. *)
-val clamp : lo:float -> hi:float -> float -> float
-
 (** [approx_equal ?eps a b] compares floats with a relative tolerance
     (default [1e-9]) and an absolute floor of [1e-9]. *)
 val approx_equal : ?eps:float -> float -> float -> bool
-
-(** [log_base b x]. *)
-val log_base : float -> float -> float

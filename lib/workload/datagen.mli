@@ -60,6 +60,10 @@ val apply : Vis_catalog.Schema.t -> dataset -> batch -> dataset
 val deltas_evolving :
   rng:Random.State.t -> Vis_catalog.Schema.t -> dataset -> batch
 
+(** [key_pos schema rel] — the position of [rel]'s key attribute in its
+    tuples. *)
+val key_pos : Vis_catalog.Schema.t -> int -> int
+
 (** [batch_rows b] — total delta rows (inserts + deletes + updates) across
     all relations, the unit of the service's rate monitoring. *)
 val batch_rows : batch -> int

@@ -407,9 +407,7 @@ let config () =
   Config.make ~views:[ st ] ~indexes:[ ix ]
 
 let world ?(seed = 33) ?(checksums = false) () =
-  let rng = Random.State.make [| seed |] in
-  let ds = Datagen.generate ~rng schema in
-  Warehouse.build ~checksums schema (config ()) ds
+  fst (Validate.world ~checksums ~seed schema (config ()))
 
 let insert_some w n =
   let tbl = (Warehouse.durable_tables w).(0) in

@@ -8,7 +8,6 @@ module Bitset = Vis_util.Bitset
 module Schema = Vis_catalog.Schema
 module Config = Vis_costmodel.Config
 module Element = Vis_costmodel.Element
-module Datagen = Vis_workload.Datagen
 module Warehouse = Vis_maintenance.Warehouse
 module Refresh = Vis_maintenance.Refresh
 module Validate = Vis_maintenance.Validate
@@ -40,18 +39,7 @@ let config () =
 
 (* Two structurally identical worlds from one seed: a warehouse and the
    batch to apply to it. *)
-let world ?(seed = 21) () =
-  let rng = Random.State.make [| seed |] in
-  let ds = Datagen.generate ~rng schema in
-  let w = Warehouse.build schema (config ()) ds in
-  let batch = Datagen.deltas ~rng schema ds in
-  (w, batch)
-
-let ok_exn = function
-  | Ok v -> v
-  | Error (e : Refresh.error) ->
-      Alcotest.failf "protected refresh failed: %a" Faults.pp_fault
-        e.Refresh.err_fault
+let world ?(seed = 21) () = Validate.world ~seed schema (config ())
 
 (* ------------------------------------------------------------------ *)
 (* WAL mechanics. *)
@@ -104,130 +92,146 @@ let test_wal_page_spill () =
     | [] -> false)
 
 (* ------------------------------------------------------------------ *)
-(* Protected refresh without faults. *)
+(* Protected refresh, judged by [Validate]'s outcome rule against the
+   unprotected fault-free refresh of the same world. *)
+
+let verdict =
+  Alcotest.testable
+    (fun ppf v -> Format.pp_print_string ppf (Validate.verdict_name v))
+    ( = )
+
+let reference_of seed =
+  let w, batch = world ~seed () in
+  let io = Refresh.total_io (Refresh.run w batch) in
+  (io, Validate.reference w)
+
+let base_io, reference = reference_of 21
+
+(* A fresh world refreshed once under [plan]. *)
+let trial ?(reference = reference) plan =
+  let w, batch = world () in
+  (w, Validate.refresh_trial reference ~faults:plan w batch)
+
+let crash () =
+  Faults.make [ Faults.Fail_nth { op = Some Faults.Write; n = 25; kind = Faults.Crash } ]
+
+(* A permanent mid-batch fault: the normal path cannot complete, so the
+   refresh falls back to bases-only application plus view recomputation.
+   (Fail_nth is consumed by op count, so the degraded pass — whose armed-op
+   counter has moved past n — completes.) *)
+let degrade () =
+  Faults.make [ Faults.Fail_nth { op = None; n = 120; kind = Faults.Permanent } ]
+
+(* Every write fails permanently: the normal path dies, degradation dies
+   too, and the warehouse must come back exactly as it started. *)
+let media () =
+  Faults.make
+    [ Faults.Fail_prob { op = Some Faults.Write; p = 1.0; kind = Faults.Permanent } ]
 
 let test_protected_matches_unprotected () =
-  let w1, batch1 = world () in
-  let w2, batch2 = world () in
-  let r1 = Refresh.run w1 batch1 in
-  let r2, fs = ok_exn (Refresh.run_protected w2 batch2) in
-  checks "bit-identical stored state" (Warehouse.signature w1)
-    (Warehouse.signature w2);
+  let _, t = trial (Faults.none ()) in
+  let fs = t.Validate.tr_stats in
+  Alcotest.check verdict "bit-identical stored state, integrity intact"
+    Validate.Bit_identical t.Validate.tr_verdict;
+  (match t.Validate.tr_result with
+  | Ok (r, _) -> checki "trial io is the refresh's" (Refresh.total_io r) t.Validate.tr_io
+  | Error _ -> Alcotest.fail "fault-free protected refresh failed");
   checkb "no attempts wasted" true (fs.Refresh.fs_attempts = 1);
   checkb "nothing injected" true (fs.Refresh.fs_injected = 0);
   checkb "not degraded" true (not fs.Refresh.fs_degraded);
   checkb "WAL records were written" true (fs.Refresh.fs_wal_records > 0);
   (* The protected run costs extra I/O only for the log itself. *)
-  let base = Refresh.total_io r1 and prot = Refresh.total_io r2 in
+  let prot = t.Validate.tr_io in
   checkb
-    (Printf.sprintf "WAL overhead <= 10%% (unprotected %d, protected %d)" base
+    (Printf.sprintf "WAL overhead <= 10%% (unprotected %d, protected %d)" base_io
        prot)
     true
-    (float_of_int prot <= 1.10 *. float_of_int base);
-  match Warehouse.integrity_check w2 with
-  | Ok () -> ()
-  | Error m -> Alcotest.fail m
+    (float_of_int prot <= 1.10 *. float_of_int base_io)
 
 (* ------------------------------------------------------------------ *)
 (* Rollback and retry. *)
 
 let test_crash_retry_bit_identical () =
-  let w_ref, batch_ref = world () in
-  let _ = Refresh.run w_ref batch_ref in
-  let reference = Warehouse.signature w_ref in
-  let w, batch = world () in
   (* One-shot crash on the 25th armed write: first attempt dies mid-batch,
      recovery rolls back, the retry sails through (the fault is spent). *)
-  let plan =
-    Faults.make [ Faults.Fail_nth { op = Some Faults.Write; n = 25; kind = Faults.Crash } ]
-  in
-  let _, fs = ok_exn (Refresh.run_protected ~faults:plan w batch) in
+  let _, t = trial (crash ()) in
+  let fs = t.Validate.tr_stats in
   checki "two attempts" 2 fs.Refresh.fs_attempts;
   checki "one rollback" 1 fs.Refresh.fs_rollbacks;
   checkb "records were undone" true (fs.Refresh.fs_undone > 0);
   checkb "not degraded" true (not fs.Refresh.fs_degraded);
-  checks "recovered state bit-identical to fault-free refresh" reference
-    (Warehouse.signature w)
+  Alcotest.check verdict "recovered state bit-identical to fault-free refresh"
+    Validate.Bit_identical t.Validate.tr_verdict
+
+(* One-shot crashes on four consecutive writes: the first attempt dies
+   late in the batch, with logged updates to undo, and the retry and both
+   degraded attempts die on their first write. *)
+let crashes () =
+  Faults.make
+    (List.init 4 (fun i ->
+         Faults.Fail_nth { op = Some Faults.Write; n = 80 + i; kind = Faults.Crash }))
 
 let test_rollback_restores_prebatch () =
-  let w, batch = world () in
-  let pre = Warehouse.signature w in
-  (* Every write fails permanently: the normal path dies, degradation dies
-     too, and the warehouse must come back exactly as it started. *)
-  let plan =
-    Faults.make
-      [ Faults.Fail_prob { op = Some Faults.Write; p = 1.0; kind = Faults.Permanent } ]
-  in
-  (match Refresh.run_protected ~faults:plan ~max_attempts:2 w batch with
-  | Ok _ -> Alcotest.fail "expected the batch to fail"
-  | Error e ->
-      checkb "fault reported as permanent" true
-        (e.Refresh.err_fault.Faults.f_kind = Faults.Permanent);
-      checkb "rolled back every attempt" true (e.Refresh.err_stats.Refresh.fs_rollbacks >= 2));
-  checks "pre-batch state restored bit-for-bit" pre (Warehouse.signature w);
-  match Warehouse.integrity_check w with
-  | Ok () -> ()
-  | Error m -> Alcotest.fail m
+  List.iter
+    (fun (plan, kind) ->
+      let _, t = trial plan in
+      (match t.Validate.tr_result with
+      | Ok _ -> Alcotest.fail "expected the batch to fail"
+      | Error e ->
+          checkb "fault reported with its kind" true
+            (e.Refresh.err_fault.Faults.f_kind = kind);
+          checkb "rolled back every attempt" true
+            (e.Refresh.err_stats.Refresh.fs_rollbacks >= 2));
+      Alcotest.check verdict "pre-batch state restored bit-for-bit"
+        Validate.Rolled_back t.Validate.tr_verdict)
+    [ (media (), Faults.Permanent); (crashes (), Faults.Crash) ]
 
 let test_transient_retries_in_place () =
-  let w_ref, batch_ref = world () in
-  let _ = Refresh.run w_ref batch_ref in
-  let reference = Warehouse.signature w_ref in
-  let w, batch = world () in
-  let plan =
-    Faults.make
-      [ Faults.Fail_nth { op = Some Faults.Write; n = 10; kind = Faults.Transient } ]
+  let _, t =
+    trial
+      (Faults.make
+         [ Faults.Fail_nth { op = Some Faults.Write; n = 10; kind = Faults.Transient } ])
   in
-  let _, fs = ok_exn (Refresh.run_protected ~faults:plan w batch) in
+  let fs = t.Validate.tr_stats in
   checki "transient never aborts the batch" 1 fs.Refresh.fs_attempts;
   checkb "the page operation retried" true (fs.Refresh.fs_retries >= 1);
   checkb "backoff time charged" true (fs.Refresh.fs_backoff_ms > 0.0);
   checki "nothing surfaced" 0 fs.Refresh.fs_injected;
-  checks "state bit-identical to fault-free refresh" reference
-    (Warehouse.signature w)
+  Alcotest.check verdict "state bit-identical to fault-free refresh"
+    Validate.Bit_identical t.Validate.tr_verdict
 
 (* ------------------------------------------------------------------ *)
 (* Graceful degradation. *)
 
 let test_degradation_recomputes_views () =
-  let w_ref, batch_ref = world () in
-  let _ = Refresh.run w_ref batch_ref in
-  let logical_ref = Warehouse.logical_signature w_ref in
-  let w, batch = world () in
-  (* A permanent mid-batch fault: the normal path cannot complete, so the
-     refresh falls back to bases-only application plus view recomputation.
-     (Fail_nth is consumed by op count, so the degraded pass — whose
-     armed-op counter has moved past n — completes.) *)
-  let plan =
-    Faults.make [ Faults.Fail_nth { op = None; n = 120; kind = Faults.Permanent } ]
-  in
-  let _, fs = ok_exn (Refresh.run_protected ~faults:plan w batch) in
+  let w, t = trial (degrade ()) in
+  let fs = t.Validate.tr_stats in
   checkb "degraded" true fs.Refresh.fs_degraded;
   checkb "views were recomputed" true (fs.Refresh.fs_recomputed_rows > 0);
-  checks "logically identical to the fault-free refresh" logical_ref
-    (Warehouse.logical_signature w);
-  (match Warehouse.integrity_check w with
-  | Ok () -> ()
-  | Error m -> Alcotest.fail m);
+  Alcotest.check verdict "logically identical to the fault-free refresh"
+    Validate.Logically_exact t.Validate.tr_verdict;
   (* Physically the recomputed views differ — that is the point. *)
   checkb "physically a different layout" true
-    (Warehouse.signature w <> Warehouse.signature w_ref)
+    (Warehouse.signature w <> reference.Validate.rf_physical)
+
+(* A reference the refresh did not produce is convicted as the matching
+   mismatch; a rolled-back batch is judged against its own pre-batch
+   state, never the reference; a failed stream needs integrity only. *)
+let test_trial_mismatches () =
+  let _, wrong = reference_of 22 in
+  let judged plan = (snd (trial ~reference:wrong plan)).Validate.tr_verdict in
+  Alcotest.check verdict "completed" Validate.State_mismatch (judged (crash ()));
+  Alcotest.check verdict "degraded" Validate.Degraded_mismatch
+    (judged (degrade ()));
+  Alcotest.check verdict "rolled back" Validate.Rolled_back (judged (media ()));
+  let w, batch = world () in
+  Alcotest.check verdict "failed stream" Validate.Failed_intact
+    (Validate.stream_trial wrong ~faults:(media ()) w
+       (Validate.split_batch 4 batch))
+      .Validate.tr_verdict
 
 (* ------------------------------------------------------------------ *)
 (* Group commit. *)
-
-(* Split one generated batch into [k] conflict-free sub-batches by dealing
-   each per-relation delta list round-robin: inserted keys are
-   predetermined, deleted and updated keys are distinct within the batch,
-   so any partition applies cleanly in stream order. *)
-let split_batch k (b : Datagen.batch) =
-  let deal j l = List.filteri (fun i _ -> i mod k = j) l in
-  List.init k (fun j ->
-      {
-        Datagen.b_ins = Array.map (deal j) b.Datagen.b_ins;
-        b_del = Array.map (deal j) b.Datagen.b_del;
-        b_upd = Array.map (deal j) b.Datagen.b_upd;
-      })
 
 let ok3_exn = function
   | Ok v -> v
@@ -241,7 +245,7 @@ let ok3_exn = function
 let test_group_commit_fewer_syncs () =
   let w1, b1 = world () in
   let w2, b2 = world () in
-  let batches1 = split_batch 8 b1 and batches2 = split_batch 8 b2 in
+  let batches1 = Validate.split_batch 8 b1 and batches2 = Validate.split_batch 8 b2 in
   let per_batch = { Refresh.gp_max_group = 1; gp_window_ms = 1e9 } in
   let grouped = { Refresh.gp_max_group = 4; gp_window_ms = 1e9 } in
   let r1, _, g1 = ok3_exn (Refresh.run_protected_many ~policy:per_batch w1 batches1) in
@@ -269,7 +273,7 @@ let test_group_commit_fewer_syncs () =
    25ms window close groups of three. *)
 let test_group_window_forces_sync () =
   let w, batch = world () in
-  let batches = split_batch 8 batch in
+  let batches = Validate.split_batch 8 batch in
   let policy = { Refresh.gp_max_group = 100; gp_window_ms = 25. } in
   let _, _, g = ok3_exn (Refresh.run_protected_many ~policy w batches) in
   checki "window closes groups of three (plus stream tail)" 3
@@ -281,74 +285,43 @@ let test_group_window_forces_sync () =
    fault-free run of the same stream. *)
 let test_group_crash_replays_bit_identical () =
   let w_ref, batch_ref = world () in
-  let batches_ref = split_batch 8 batch_ref in
-  let _ = ok3_exn (Refresh.run_protected_many w_ref batches_ref) in
-  let reference = Warehouse.signature w_ref in
+  ignore (ok3_exn (Refresh.run_protected_many w_ref (Validate.split_batch 8 batch_ref)));
   let w, batch = world () in
-  let batches = split_batch 8 batch in
-  let plan =
-    Faults.make
-      [ Faults.Fail_nth { op = Some Faults.Write; n = 25; kind = Faults.Crash } ]
+  let t =
+    Validate.stream_trial (Validate.reference w_ref) ~faults:(crash ()) w
+      (Validate.split_batch 8 batch)
   in
-  let _, fs, g = ok3_exn (Refresh.run_protected_many ~faults:plan w batches) in
+  let _, fs, g = ok3_exn t.Validate.tr_result in
   checkb "the crash surfaced once" true (fs.Refresh.fs_injected = 1);
   checkb "cross-batch rollback ran" true (fs.Refresh.fs_rollbacks >= 1);
   checkb "rolled-back batches replayed individually" true
     (g.Refresh.gr_replayed >= 1);
-  checks "recovered state bit-identical to the fault-free stream" reference
-    (Warehouse.signature w);
-  match Warehouse.integrity_check w with
-  | Ok () -> ()
-  | Error m -> Alcotest.fail m
+  Alcotest.check verdict "recovered state bit-identical to the fault-free stream"
+    Validate.Bit_identical t.Validate.tr_verdict
 
 (* The group scheduler runs on a simulated clock, so a seeded fault plan
    replays the whole stream bit-identically. *)
 let test_group_commit_deterministic () =
+  (* Judged against the single-batch reference: only repeatability counts. *)
   let outcome () =
     let w, batch = world () in
-    let batches = split_batch 6 batch in
-    let rng = Random.State.make [| 42; 7 |] in
-    let plan = Faults.random ~rng () in
-    match Refresh.run_protected_many ~faults:plan w batches with
-    | Ok (r, fs, g) ->
-        ( "ok",
-          Warehouse.signature w,
-          r.Refresh.rp_wal_syncs,
-          fs.Refresh.fs_attempts,
-          g.Refresh.gr_replayed )
-    | Error e ->
-        ( Format.asprintf "%a" Faults.pp_fault e.Refresh.err_fault,
-          Warehouse.signature w,
-          0,
-          e.Refresh.err_stats.Refresh.fs_attempts,
-          0 )
+    let plan = Faults.random ~rng:(Random.State.make [| 42; 7 |]) () in
+    let t = Validate.stream_trial reference ~faults:plan w (Validate.split_batch 6 batch) in
+    (Warehouse.signature w, t)
   in
   checkb "same plan, same stream, same outcome" true (outcome () = outcome ())
 
 (* ------------------------------------------------------------------ *)
 (* Determinism. *)
 
+(* The whole trial — result, fault statistics, I/O, verdict — and the
+   stored state replay exactly under the same seeded plan. *)
 let test_fault_plans_deterministic () =
   let outcome () =
-    let w, batch = world () in
-    let rng = Random.State.make [| 42; 7 |] in
-    let plan = Faults.random ~rng () in
-    match Refresh.run_protected ~faults:plan w batch with
-    | Ok (_, fs) ->
-        ( "ok",
-          Warehouse.signature w,
-          fs.Refresh.fs_attempts,
-          fs.Refresh.fs_injected,
-          fs.Refresh.fs_retries )
-    | Error e ->
-        ( Format.asprintf "%a" Faults.pp_fault e.Refresh.err_fault,
-          Warehouse.signature w,
-          e.Refresh.err_stats.Refresh.fs_attempts,
-          e.Refresh.err_stats.Refresh.fs_injected,
-          e.Refresh.err_stats.Refresh.fs_retries )
+    let w, t = trial (Faults.random ~rng:(Random.State.make [| 42; 7 |]) ()) in
+    (Warehouse.signature w, t)
   in
-  let a = outcome () and b = outcome () in
-  checkb "same plan, same outcome, same state" true (a = b)
+  checkb "same plan, same outcome, same state" true (outcome () = outcome ())
 
 let () =
   Alcotest.run "vis_recovery"
@@ -371,6 +344,8 @@ let () =
             test_degradation_recomputes_views;
           Alcotest.test_case "deterministic plans" `Quick
             test_fault_plans_deterministic;
+          Alcotest.test_case "mismatches convicted" `Quick
+            test_trial_mismatches;
         ] );
       ( "group commit",
         [

@@ -625,6 +625,91 @@ let test_churning_footprint_bounded () =
       done;
       checki "no swap replaced the warehouse" 0 (Service.stats svc id).Service.ts_swaps)
 
+(* Whether every base heap of the tenant scans in ascending key order. *)
+let bases_in_key_order svc id =
+  let w = Service.warehouse svc id in
+  Array.to_list w.Vis_maintenance.Warehouse.w_bases
+  |> List.mapi (fun rel tbl ->
+         let kp = Datagen.key_pos w.Vis_maintenance.Warehouse.w_schema rel in
+         let keys = List.map (fun t -> t.(kp)) (Vis_relalg.Exec.scan tbl ()) in
+         keys = List.sort compare keys)
+  |> List.for_all Fun.id
+
+(* A tenant whose refresh group fails keeps serving, and the logical
+   mirror it re-reads from the stored bases stays in key order.  Inserts
+   backfill slots that deletes freed on earlier pages, so heap scan order
+   is not key order; the swap after the failure rebuilds the bases from
+   the mirror, in the mirror's order.  Five one-shot crashes exhaust the
+   group attempt, then both normal and both degraded attempts of the
+   first replayed batch. *)
+let test_failed_group_resync_key_order () =
+  let churn =
+    Vis_workload.Schemas.validation ~base_card:100. ~ins_frac:0.02
+      ~del_frac:0.02 ()
+  in
+  let crashes =
+    Faults.make
+      (List.init 5 (fun i ->
+           Faults.Fail_nth
+             { op = Some Faults.Write; n = 1_500 + i; kind = Faults.Crash }))
+  in
+  let svc = Service.create ~config:base_config () in
+  Fun.protect
+    ~finally:(fun () -> Service.shutdown svc)
+    (fun () ->
+      let id =
+        Service.add_tenant ~seed:3 ~rate:12.
+          ~drift:(Stream.Step { at = 5; factor = 4. })
+          ~faults:crashes ~config:(Lazy.force design) svc churn
+      in
+      Service.run svc ~ticks:4;
+      let s = Service.stats svc id in
+      checki "one group failed" 1 s.Service.ts_failed;
+      checki "kept serving: one group per tick" 4 s.Service.ts_groups;
+      checki "no swap before the drift" 0 s.Service.ts_swaps;
+      checkb "backfilled heaps scan out of key order" false
+        (bases_in_key_order svc id);
+      Service.tick svc;
+      checki "swapped under the drift" 1
+        (Service.stats svc id).Service.ts_swaps;
+      checkb "the rebuilt bases scan in key order" true
+        (bases_in_key_order svc id))
+
+(* Retired tenants cost the daemon constant space: [totals] keeps one
+   running sum of them, equal to the sum of the snapshots [remove_tenant]
+   returned. *)
+let test_retired_tenants_bounded () =
+  let svc = Service.create ~config:base_config () in
+  Fun.protect
+    ~finally:(fun () -> Service.shutdown svc)
+    (fun () ->
+      let removed = ref [] in
+      let cycles n =
+        for _ = 1 to n do
+          let id =
+            Service.add_tenant ~seed:4 ~config:(Lazy.force design) svc schema
+          in
+          Service.tick svc;
+          removed := Service.remove_tenant svc id :: !removed
+        done;
+        Obj.reachable_words (Obj.repr svc)
+      in
+      let words8 = cycles 8 in
+      let words24 = cycles 16 in
+      checki "footprint flat in the retired tenants" words8 words24;
+      let t = Service.totals svc in
+      let sum f = List.fold_left (fun acc s -> acc + f s) 0 !removed in
+      checki "tenants" 24 t.Service.tt_tenants;
+      checki "batches summed" (sum (fun s -> s.Service.ts_batches)) t.Service.tt_batches;
+      checki "rows summed" (sum (fun s -> s.Service.ts_rows)) t.Service.tt_rows;
+      let merged =
+        List.fold_left
+          (fun h s -> List.fold_right Service.add_latency s.Service.ts_latencies_ms h)
+          [] !removed
+      in
+      checkf "p99 over every retired batch" (Service.percentile ~p:0.99 merged)
+        t.Service.tt_p99_latency_ms)
+
 let test_run_tasks () =
   let pool = Parallel.create ~jobs:4 () in
   Fun.protect
@@ -642,6 +727,8 @@ let () =
           Alcotest.test_case "registration" `Quick test_registration;
           Alcotest.test_case "teardown" `Quick test_teardown;
           Alcotest.test_case "ingestion" `Quick test_ingestion;
+          Alcotest.test_case "retired tenants bounded" `Quick
+            test_retired_tenants_bounded;
         ] );
       ( "monitor",
         [
@@ -668,6 +755,8 @@ let () =
             test_mined_reoptimization;
           Alcotest.test_case "budget-bounded degradation" `Quick
             test_budget_bounded_degradation;
+          Alcotest.test_case "failed group keeps key order" `Quick
+            test_failed_group_resync_key_order;
         ] );
       ( "determinism",
         [
