@@ -201,15 +201,20 @@ let durable_tables w =
 let total_data_pages w =
   Array.fold_left (fun acc t -> acc + Table.n_pages t) 0 (durable_tables w)
 
+(* [durable_tables] order, walked in place: this runs for every logged
+   row, so it allocates nothing. *)
 let table_id w table =
-  let tables = durable_tables w in
-  let rec find i =
-    if i >= Array.length tables then
-      invalid_arg "Warehouse.table_id: not a durable table"
-    else if tables.(i) == table then i
-    else find (i + 1)
+  let n_bases = Array.length w.w_bases in
+  let rec in_views i = function
+    | [] -> invalid_arg "Warehouse.table_id: not a durable table"
+    | (_, t) :: rest -> if t == table then i else in_views (i + 1) rest
   in
-  find 0
+  let rec in_bases i =
+    if i >= n_bases then in_views n_bases w.w_views
+    else if w.w_bases.(i) == table then i
+    else in_bases (i + 1)
+  in
+  in_bases 0
 
 (* ------------------------------------------------------------------ *)
 (* Logged modifications: log before apply.  The before images come from a

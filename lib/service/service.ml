@@ -106,8 +106,9 @@ type tenant = {
   mutable tn_config : Config.t;
   mutable tn_opt_factor : float;
   mutable tn_warehouse : Warehouse.t;
-  mutable tn_dataset : Datagen.dataset;  (* logical mirror of the stored
-                                            bases, for swap rebuilds *)
+  mutable tn_mirror : Datagen.Mirror.t;
+      (* logical mirror of the stored bases, for swap rebuilds; advanced
+         in place by arrivals, rebuilt by [resync_mirror] *)
   mutable tn_pending : Datagen.batch list;
   (* counters *)
   mutable c_ticks : int;
@@ -222,7 +223,7 @@ let add_tenant ?name ?seed ?(rate = 2.0) ?(drift = Stream.Constant) ?faults
       tn_config = design;
       tn_opt_factor = 1.;
       tn_warehouse = warehouse;
-      tn_dataset = dataset;
+      tn_mirror = Datagen.Mirror.of_dataset schema dataset;
       tn_pending = [];
       c_ticks = 0;
       c_batches = 0;
@@ -358,10 +359,10 @@ let remove_tenant t id =
    the optimistic mirror (all batches applied) is re-read from the engine.
    Heap scan order is not key order — an insert backfills the lowest free
    slot a delete left on an earlier page — so each relation's rows are
-   sorted by key, restoring the mirror's key-order invariant that the next
-   swap rebuild loads in.  [ds_next_key] keeps its high-water mark:
-   rolled-back inserts burnt their keys, and reusing a key could collide
-   with a later replay. *)
+   sorted by key before the mirror is rebuilt from them (the mirror keeps
+   its slots in key order and rejects anything else).  Each relation's
+   next key keeps its high-water mark: rolled-back inserts burnt their
+   keys, and reusing a key could collide with a later replay. *)
 let resync_mirror tn =
   let tuples =
     Array.mapi
@@ -372,11 +373,13 @@ let resync_mirror tn =
           (Vis_relalg.Exec.scan tbl ()))
       tn.tn_warehouse.Warehouse.w_bases
   in
-  tn.tn_dataset <-
-    {
-      Datagen.ds_tuples = tuples;
-      ds_next_key = Array.copy tn.tn_dataset.Datagen.ds_next_key;
-    }
+  tn.tn_mirror <-
+    Datagen.Mirror.of_dataset tn.tn_schema
+      {
+        Datagen.ds_tuples = tuples;
+        ds_next_key =
+          Array.init (Array.length tuples) (Datagen.Mirror.next_key tn.tn_mirror);
+      }
 
 let absorb tn outcome =
   tn.c_groups <- tn.c_groups + 1;
@@ -461,7 +464,8 @@ let reoptimize t tn =
          view carry exactly the stream's contents across the swap. *)
       tn.tn_warehouse <-
         Warehouse.build ~checksums:(cfg.sv_scrub_every > 0) drifted
-          r.Astar.best tn.tn_dataset;
+          r.Astar.best
+          (Datagen.Mirror.to_dataset tn.tn_mirror);
       tn.tn_config <- r.Astar.best;
       tn.tn_opt_factor <- est;
       Monitor.rebase tn.tn_monitor
@@ -491,8 +495,8 @@ let tick t =
       let batches = ref [] in
       let rows = ref 0 in
       for _ = 1 to k do
-        let b = Datagen.deltas_evolving ~rng:tn.tn_rng sch tn.tn_dataset in
-        tn.tn_dataset <- Datagen.apply tn.tn_schema tn.tn_dataset b;
+        let b = Datagen.Mirror.deltas ~rng:tn.tn_rng sch tn.tn_mirror in
+        Datagen.Mirror.apply tn.tn_mirror b;
         rows := !rows + Datagen.batch_rows b;
         batches := b :: !batches
       done;

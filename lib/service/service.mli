@@ -15,10 +15,15 @@
     + {b Arrivals} (coordinator, sequential in tenant order): for every
       tenant, draw the tick's batch count from
       {!Vis_workload.Stream.arrivals} and the batch contents from the
-      tenant's private RNG with {!Vis_workload.Datagen.deltas_evolving},
-      scaled by the tenant's {!Vis_workload.Stream.drift} profile.  The
-      tenant's logical dataset mirror advances with
-      {!Vis_workload.Datagen.apply}.
+      tenant's private RNG with {!Vis_workload.Datagen.Mirror.deltas},
+      scaled by the tenant's {!Vis_workload.Stream.drift} profile, against
+      the tenant's logical mirror of its bases, which then advances in
+      place with {!Vis_workload.Datagen.Mirror.apply}.  A batch costs
+      O(batch · log n) in the tenant's data size n, not a copy of the
+      data; the mirror becomes a {!Vis_workload.Datagen.dataset} only for
+      a swap rebuild.  After a refresh group ends in [Error], the mirror
+      is rebuilt from the stored bases (their durable prefix survives),
+      keeping each relation's next-key high-water mark.
     + {b Refresh} (parallel): every tenant with arrivals runs its batches
       as one {!Vis_maintenance.Refresh.run_protected_many} group-commit
       stream.  Tenants share {e no} storage state — each owns its pool,

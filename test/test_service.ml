@@ -675,6 +675,38 @@ let test_failed_group_resync_key_order () =
       checkb "the rebuilt bases scan in key order" true
         (bases_in_key_order svc id))
 
+(* A 60-tick, 2-tenant run with a x3 step drift: each tenant's physical
+   signature and the totals, as canonical text (floats in hex), digested.
+   The digest was recorded with the list mirror the order-statistic one
+   replaced; the run crosses swaps rebuilt from the mirror. *)
+let test_pinned_run () =
+  let svc = Service.create ~config:base_config () in
+  Fun.protect
+    ~finally:(fun () -> Service.shutdown svc)
+    (fun () ->
+      for k = 0 to 1 do
+        let drift =
+          if k = 0 then Stream.Step { at = 20; factor = 3. } else Stream.Constant
+        in
+        ignore
+          (Service.add_tenant ~seed:(300 + k) ~rate:2.5 ~drift
+             ~config:(Lazy.force design) svc schema)
+      done;
+      Service.run svc ~ticks:60;
+      let buf = Buffer.create 256 in
+      List.iter
+        (fun id -> Printf.bprintf buf "%d:%s\n" id (Service.signature svc id))
+        (Service.tenant_ids svc);
+      let t = Service.totals svc in
+      Printf.bprintf buf "%d %d %h %d %d %d %d %d %d %d %d %h %h"
+        t.Service.tt_tenants t.tt_ticks t.tt_clock_ms t.tt_batches t.tt_rows
+        t.tt_failed t.tt_reopts t.tt_swaps t.tt_scrubs t.tt_scrub_corrupt
+        t.tt_scrub_rebuilt t.tt_mean_latency_ms t.tt_p99_latency_ms;
+      checkb "the run swaps" true (t.Service.tt_swaps >= 1);
+      Alcotest.(check string)
+        "signatures and totals" "58138a15abe5a3dc9ef0227875e39696"
+        (Digest.to_hex (Digest.string (Buffer.contents buf))))
+
 (* Retired tenants cost the daemon constant space: [totals] keeps one
    running sum of them, equal to the sum of the snapshots [remove_tenant]
    returned. *)
@@ -761,6 +793,7 @@ let () =
       ( "determinism",
         [
           Alcotest.test_case "jobs bit-identity" `Quick test_jobs_bit_identity;
+          Alcotest.test_case "pinned 60-tick run" `Quick test_pinned_run;
           Alcotest.test_case "fault isolation" `Quick test_fault_isolation;
           Alcotest.test_case "fault determinism across jobs" `Quick
             test_fault_determinism_across_jobs;
